@@ -667,7 +667,7 @@ double MeasureFanOutAssembly(bool zero_copy, int targets, int iters) {
 
 /// Group-commit WAL appends per second.  Legacy: encode every record into
 /// a fresh temporary, buffer it, concatenate on force.  Optimized: the
-/// real Wal fed from each writeset's encode arena.
+/// real Wal appending each writeset's encode arena as the force lands.
 double MeasureWalAppend(bool arena, int iters) {
   const std::vector<WriteSetRef> frozen = MakeFrozenWritesets(64);
   size_t sink = 0;
@@ -675,10 +675,7 @@ double MeasureWalAppend(bool arena, int iters) {
   for (int i = 0; i < iters; ++i) {
     if (arena) {
       Wal wal;
-      for (size_t k = 0; k + 1 < frozen.size(); ++k) {
-        wal.Append(*frozen[k], /*force=*/false);
-      }
-      wal.Append(*frozen.back(), /*force=*/true);
+      for (const WriteSetRef& ws : frozen) wal.Append(*ws);
       sink += wal.DurableBytes();
     } else {
       std::vector<std::string> buffered;
@@ -745,10 +742,9 @@ bool CheckByteIdentity() {
     ws.EncodeTo(&fresh);
     if (ws.EncodedBytes() != fresh) return false;
     if (ws.EncodedBytes().size() != ws.SerializedBytes()) return false;
-    arena_wal.Append(ws, /*force=*/rng.NextBool(0.3));
+    arena_wal.Append(ws);
     legacy_durable += fresh;
   }
-  arena_wal.Force();
   std::vector<WriteSet> replay;
   if (!arena_wal.ReadAll(&replay).ok() || replay.size() != 200) return false;
   std::string arena_durable;

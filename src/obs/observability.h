@@ -105,8 +105,7 @@ class Observability {
   /// Starts the periodic sampler if the config asked for one.
   void StartSampling();
 
-  /// Stops the sampler daemon so the event queue can drain (mirrors
-  /// ReplicatedSystem::StopGc).
+  /// Stops the sampler daemon so the event queue can drain.
   void StopSampling() { sampler_.Stop(); }
 
   /// The registry snapshot plus the sampled time series as one JSON

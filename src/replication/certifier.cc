@@ -141,40 +141,67 @@ void Certifier::EmitVerdict(const WriteSet& ws, bool commit,
 void Certifier::RecordDecision(const CertDecision& decision) {
   decided_[decision.txn_id] = decision;
   decided_log_.emplace_back(v_commit_, decision.txn_id);
-  // Retire decisions a full conflict window old: a transaction
-  // re-submitted that long after its decision would be window-aborted
-  // anyway, so idempotence only needs the in-window tail.
-  const DbVersion horizon = static_cast<DbVersion>(config_.conflict_window);
+}
+
+void Certifier::MirrorPruneOf(const Certifier& primary) {
+  mirrored_prunes_.emplace_back(primary.stream_position_,
+                                primary.pruned_through_);
+  ApplyDuePrunes();
+}
+
+void Certifier::ApplyDuePrunes() {
+  while (!mirrored_prunes_.empty() &&
+         mirrored_prunes_.front().first <= stream_position_) {
+    PruneThrough(mirrored_prunes_.front().second);
+    mirrored_prunes_.pop_front();
+  }
+}
+
+void Certifier::PruneThrough(DbVersion horizon) {
+  if (horizon <= pruned_through_) return;
+  pruned_through_ = horizon;
+  EvictWindow();
   while (!decided_log_.empty() &&
-         v_commit_ - decided_log_.front().first > horizon) {
+         decided_log_.front().first < pruned_through_) {
     decided_.erase(decided_log_.front().second);
     decided_log_.pop_front();
   }
 }
 
+void Certifier::EvictWindow() {
+  const DbVersion evict_through = std::min(pruned_through_, durable_version_);
+  while (!recent_.empty() &&
+         recent_.front()->commit_version <= evict_through) {
+    if (!config_.linear_scan_oracle) conflict_index_.Erase(*recent_.front());
+    recent_.pop_front();
+  }
+}
+
 void Certifier::Certify(WriteSet ws) {
+  ApplyDuePrunes();
   // Idempotence: a transaction re-submitted after a certifier failover
   // (or a duplicated message) gets its original decision.
   if (auto it = decided_.find(ws.txn_id); it != decided_.end()) {
     if (!muted_) decision_cb_(ws.origin, it->second);
     return;
   }
+  ++stream_position_;
   // Forward to the standby BEFORE any decision can be announced, so the
   // standby's deterministic state always covers everything the replicas
   // may have observed (synchronous state-machine replication).
   if (forward_cb_) forward_cb_(ws);
   // Conservative abort when the snapshot predates the retained window.
-  const DbVersion window_start =
-      recent_.empty() ? 0 : recent_.front()->commit_version - 1;
-  if (ws.snapshot_version < window_start) {
+  // The prune mark, not recent_.front(), decides: an emptied window
+  // covers nothing below it.
+  if (ws.snapshot_version < pruned_through_) {
     ++window_aborts_;
     ++aborts_;
     if (!muted_) {
       if (ctr_aborts_window_ != nullptr) ctr_aborts_window_->Increment();
       SCREP_LOG(kWarn) << "[certifier] conservative window abort of txn "
                        << ws.txn_id << ": snapshot " << ws.snapshot_version
-                       << " predates the retained window (starts at "
-                       << window_start << ", conflict_window="
+                       << " predates the retained window (pruned through "
+                       << pruned_through_ << ", conflict_window="
                        << config_.conflict_window << ")";
     }
     EmitVerdict(ws, /*commit=*/false, "window", kNoVersion, 0);
@@ -264,14 +291,15 @@ void Certifier::Certify(WriteSet ws) {
   ++certified_;
   EmitVerdict(ws, /*commit=*/true, nullptr, kNoVersion, 0);
   if (!muted_ && ctr_certified_ != nullptr) ctr_certified_->Increment();
+  // The conflict_window cap: at most that many versions stay certifiable.
+  if (static_cast<size_t>(v_commit_) > config_.conflict_window) {
+    PruneThrough(v_commit_ - static_cast<DbVersion>(config_.conflict_window));
+  }
   RecordDecision(CertDecision{ws.txn_id, /*commit=*/true, ws.commit_version});
   WriteSetRef frozen = std::make_shared<const WriteSet>(std::move(ws));
   recent_.push_back(frozen);
   if (!config_.linear_scan_oracle) conflict_index_.Insert(*recent_.back());
-  while (recent_.size() > config_.conflict_window) {
-    if (!config_.linear_scan_oracle) conflict_index_.Erase(*recent_.front());
-    recent_.pop_front();
-  }
+  EvictWindow();
   if (eager_) {
     eager_tracker_.OnCertified(frozen->txn_id);
     eager_origins_[frozen->txn_id] = frozen->origin;
@@ -335,16 +363,18 @@ void Certifier::ForceNext() {
           // Durability + decisions per writeset (in version order), then
           // one coalesced refresh message per target for the whole batch.
           for (const WriteSetRef& ws : batch) {
-            wal_.Append(*ws, /*force=*/true);
+            wal_.Append(*ws);
             AnnounceDecision(*ws);
           }
           AnnounceRefreshBatches(batch);
         } else {
           for (const WriteSetRef& ws : batch) {
-            wal_.Append(*ws, /*force=*/true);
+            wal_.Append(*ws);
             Announce(ws);
           }
         }
+        durable_version_ = batch.back()->commit_version;
+        EvictWindow();
         if (!force_batch_.empty()) {
           ForceNext();
         } else {
@@ -499,20 +529,17 @@ Status Certifier::FetchSince(
     DbVersion from,
     const std::function<void(const WriteSet&)>& sink) const {
   if (from >= v_commit_) return Status::OK();
-  const DbVersion window_start =
-      recent_.empty() ? v_commit_ + 1 : recent_.front()->commit_version;
-  if (from + 1 >= window_start) {
-    for (const WriteSetRef& ws : recent_) {
-      if (ws->commit_version > from) sink(*ws);
-    }
-    return Status::OK();
+  DbVersion next = from + 1;  // the next version the caller is owed
+  if (recent_.empty() || recent_.front()->commit_version > next) {
+    // The window holds everything not yet durable, so log suffix plus
+    // window leave no gap.
+    SCREP_RETURN_NOT_OK(wal_.ReadSince(from, [&](const WriteSet& ws) {
+      sink(ws);
+      next = ws.commit_version + 1;
+    }));
   }
-  // The window no longer covers the requested range: decode the durable
-  // log (recovery is rare, so the full scan is acceptable).
-  std::vector<WriteSet> log;
-  SCREP_RETURN_NOT_OK(wal_.ReadAll(&log));
-  for (const WriteSet& ws : log) {
-    if (ws.commit_version > from) sink(ws);
+  for (const WriteSetRef& ws : recent_) {
+    if (ws->commit_version >= next) sink(*ws);
   }
   return Status::OK();
 }

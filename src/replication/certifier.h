@@ -57,9 +57,9 @@ struct CertifierConfig {
   Duration log_force_time = Millis(0.8);
   /// Certification guarantee.
   CertificationMode mode = CertificationMode::kGsi;
-  /// How many recent committed writesets are retained for conflict
-  /// checking; transactions with snapshots older than the window are
-  /// conservatively aborted (does not occur in practice).
+  /// Cap on the recent committed writesets retained for conflict
+  /// checking (PruneThrough usually keeps far fewer); transactions with
+  /// snapshots older than the window are conservatively aborted.
   size_t conflict_window = 100000;
   /// DEBUG ONLY: decide by linearly rescanning the whole conflict window
   /// (the pre-index brute-force path) instead of the keyed conflict
@@ -168,11 +168,26 @@ class Certifier {
   bool IsReplicaDown(ReplicaId replica) const;
 
   /// Recovery catch-up: invokes `sink` with every committed writeset with
-  /// commit_version in (from, CommitVersion()], in version order. Serves
-  /// from the in-memory window when possible, otherwise decodes the
-  /// durable log.
+  /// commit_version in (from, CommitVersion()], in version order: the
+  /// durable log's suffix when the window does not reach back to `from`,
+  /// then the window.
   Status FetchSince(DbVersion from,
                     const std::function<void(const WriteSet&)>& sink) const;
+
+  /// Low-water-mark sweep.  `horizon` is the oldest snapshot any replica
+  /// that is not crashed may still certify against; writesets at or
+  /// below it can conflict with no such snapshot, so they leave the
+  /// window and its index, and decisions made before it are retired.
+  /// Later snapshots below the mark are window-aborted.  Monotone.
+  void PruneThrough(DbVersion horizon);
+
+  /// Standby: applies `primary`'s current mark once this certifier's
+  /// stream reaches the primary's position, so a late forward is decided
+  /// against the same window the primary used.
+  void MirrorPruneOf(const Certifier& primary);
+
+  /// The prune mark: snapshots below it are window-aborted.
+  DbVersion pruned_through() const { return pruned_through_; }
 
   /// Latest assigned commit version.
   DbVersion CommitVersion() const { return v_commit_; }
@@ -183,6 +198,8 @@ class Certifier {
   /// Decisions retained for failover idempotence (bounded by the
   /// conflict window).
   size_t decided_size() const { return decided_.size(); }
+  /// Committed writesets held in the conflict window.
+  size_t retained_writesets() const { return recent_.size(); }
 
   int64_t certified_count() const { return certified_; }
   int64_t abort_count() const { return aborts_; }
@@ -217,9 +234,13 @@ class Certifier {
  private:
   /// Runs after CPU service: the actual certification decision.
   void Certify(WriteSet ws);
-  /// Records a decision for failover idempotence and retires decisions a
-  /// full conflict window old.
+  /// Records a decision for failover idempotence.
   void RecordDecision(const CertDecision& decision);
+  /// Standby: applies mirrored prune marks the stream has reached.
+  void ApplyDuePrunes();
+  /// Evicts window writesets at or below the prune mark that are durable
+  /// (FetchSince serves the rest from the window).
+  void EvictWindow();
   /// Appends to the durable log via group commit, then announces.  The
   /// writeset is frozen (immutable, shared) by this point: the force
   /// batch, the refresh fan-out and the conflict window all reference
@@ -253,10 +274,19 @@ class Certifier {
 
   DbVersion v_commit_ = 0;
   /// Committed writesets, ascending by commit version, for conflict
-  /// checks (pruned to config_.conflict_window).  Frozen references:
-  /// the same objects flow through the force batch and the refresh
-  /// fan-out without being copied again.
+  /// checks (evicted once at or below the prune mark and durable).
+  /// Frozen references: the same objects flow through the force batch
+  /// and the refresh fan-out without being copied again.
   std::deque<WriteSetRef> recent_;
+  /// Max of the horizon marks and v_commit_ - conflict_window.
+  /// Certification depends on it alone, not on what has been evicted.
+  DbVersion pruned_through_ = 0;
+  DbVersion durable_version_ = 0;  // newest version in wal_
+  /// Submissions past the idempotence check: the stream position,
+  /// identical on primary and standby.
+  uint64_t stream_position_ = 0;
+  /// Standby: (primary stream position, mark) not yet reached.
+  std::deque<std::pair<uint64_t, DbVersion>> mirrored_prunes_;
   /// Keyed index over `recent_`: (table, key) -> newest committed write
   /// (plus per-table ordered maps in serializable mode), making a
   /// certification O(|writeset|) lookups instead of a window rescan.
@@ -286,12 +316,10 @@ class Certifier {
 
   /// Certification is idempotent: re-submissions after a failover get the
   /// original decision back instead of being re-decided.  Bounded: a
-  /// decision is retired once certification has advanced a full conflict
-  /// window past it (`decided_log_` remembers the commit version current
-  /// when each decision was made, in decision order) — failover
-  /// resubmissions arrive within a handful of versions, so in-window
-  /// idempotence is preserved while the map stops growing with run
-  /// length.
+  /// decision is retired once made before the prune mark (`decided_log_`
+  /// remembers the commit version current at each decision, in order):
+  /// a transaction decided at version c had a snapshot <= c, so below
+  /// the horizon no live replica still waits on it.
   std::unordered_map<TxnId, CertDecision> decided_;
   std::deque<std::pair<DbVersion, TxnId>> decided_log_;
 

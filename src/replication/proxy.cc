@@ -811,7 +811,7 @@ void Proxy::PublishReady() {
        it = executed_.find(v_local() + 1)) {
     PendingApply apply = std::move(it->second);
     executed_.erase(it);
-    const Status st = db_->ApplyWriteSet(*apply.ws, /*force_log=*/false);
+    const Status st = db_->ApplyWriteSet(*apply.ws);
     SCREP_CHECK_MSG(st.ok(), "apply failed: " << st.ToString());
     pending_index_.Erase(*apply.ws);
     if (!apply.is_local) {

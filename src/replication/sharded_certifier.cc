@@ -427,7 +427,7 @@ void ShardedCertifier::StartForce(ShardId shard) {
                    [this, shard, batch = std::move(batch)]() {
                      Lane& l = *lanes_[static_cast<size_t>(shard)];
                      for (const WriteSetRef& sub : batch) {
-                       l.wal.Append(*sub, /*force=*/true);
+                       l.wal.Append(*sub);
                        // A cross-shard commit announces only once its
                        // force completed in EVERY touched lane — joint
                        // durability before any replica hears of it.

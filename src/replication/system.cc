@@ -1,6 +1,7 @@
 #include "replication/system.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -183,7 +184,6 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
   system->obs_->ConfigureHealth(config.replica_count);
   system->RegisterGauges();
   system->obs_->StartSampling();
-  if (config.gc_interval > 0) system->ScheduleGc();
   return system;
 }
 
@@ -223,6 +223,16 @@ void ReplicatedSystem::RegisterGauges() {
     });
     registry->RegisterCallbackGauge("certifier.disk_util", [this]() {
       return certifier_->disk()->Utilization();
+    });
+    // Retention (the log stays append-only until checkpointing).
+    registry->RegisterCallbackGauge("certifier.retained_writesets", [this]() {
+      return static_cast<double>(certifier_->retained_writesets());
+    });
+    registry->RegisterCallbackGauge("certifier.decided", [this]() {
+      return static_cast<double>(certifier_->decided_size());
+    });
+    registry->RegisterCallbackGauge("certifier.wal_bytes", [this]() {
+      return static_cast<double>(certifier_->wal().DurableBytes());
     });
   }
   registry->RegisterCallbackGauge("lb.outstanding", [this]() {
@@ -289,6 +299,10 @@ void ReplicatedSystem::RegisterGauges() {
     });
     registry->RegisterCallbackGauge(prefix + "publish_backlog", [proxy]() {
       return static_cast<double>(proxy->publish_backlog());
+    });
+    Database* db = replicas_[static_cast<size_t>(r)]->db();
+    registry->RegisterCallbackGauge(prefix + "mvcc_versions", [db]() {
+      return static_cast<double>(db->VersionCount());
     });
     if (config_.certifier.refresh_credit_window > 0) {
       registry->RegisterCallbackGauge(prefix + "refresh_credits",
@@ -399,6 +413,10 @@ void ReplicatedSystem::BuildChannels() {
     decision->SetDestination(replica_ep);
     decision->SetHandler([this, r](const CertDecision& d) {
       replicas_[static_cast<size_t>(r)]->proxy()->OnCertDecision(d);
+      if (d.commit && ++commits_since_sweep_ >= kSweepEveryCommits) {
+        commits_since_sweep_ = 0;
+        SweepLowWaterMark();
+      }
     });
     decision->AttachMetrics(registry);
     ch_decision_.push_back(std::move(decision));
@@ -896,16 +914,23 @@ void ReplicatedSystem::HealReplicaPartition(ReplicaId replica) {
   });
 }
 
-void ReplicatedSystem::ScheduleGc() {
-  rt_->Schedule(config_.gc_interval, [this]() {
-    if (gc_stopped_) return;
-    for (auto& replica : replicas_) {
-      if (replica->proxy()->down()) continue;
-      const DbVersion horizon = replica->proxy()->OldestActiveSnapshot();
-      replica->db()->TruncateVersions(horizon);
-    }
-    ScheduleGc();
-  });
+void ReplicatedSystem::SweepLowWaterMark() {
+  DbVersion horizon = std::numeric_limits<DbVersion>::max();
+  for (auto& replica : replicas_) {
+    if (replica->proxy()->down()) continue;
+    const DbVersion oldest = replica->proxy()->OldestActiveSnapshot();
+    replica->db()->TruncateVersions(oldest);
+    horizon = std::min(horizon, oldest);
+  }
+  // Sharded replicas count versions locally: the K lanes keep their cap.
+  if (certifier_ == nullptr ||
+      horizon == std::numeric_limits<DbVersion>::max()) {
+    return;
+  }
+  certifier_->PruneThrough(horizon);
+  if (standby_certifier_ != nullptr) {
+    standby_certifier_->MirrorPruneOf(*certifier_);
+  }
 }
 
 void ReplicatedSystem::Submit(TxnRequest request) {

@@ -67,9 +67,6 @@ struct SystemConfig {
   /// approach (paper §IV fault-tolerance); CrashCertifier() then promotes
   /// it. Not supported together with the eager configuration.
   bool standby_certifier = false;
-  /// Interval of the replicas' MVCC garbage collection (0 = off). Each
-  /// sweep truncates row versions no active transaction can see.
-  Duration gc_interval = 0;
   /// Seed for the replicas' stochastic service-time streams.
   uint64_t seed = 1;
   /// Partitioned certification (certifier.shard_lanes > 1 only): each
@@ -97,6 +94,11 @@ using TxnDefiner =
 class ReplicatedSystem {
  public:
   using ClientCallback = std::function<void(const TxnResponse&)>;
+
+  /// Commit decisions delivered between two low-water-mark sweeps:
+  /// driven by commit progress, not a timer, so an idle system schedules
+  /// nothing.
+  static constexpr int64_t kSweepEveryCommits = 32;
 
   /// Builds the system: creates the replicas (each populated by
   /// `schema_builder`), prepares the transaction registry, persists the
@@ -152,10 +154,6 @@ class ReplicatedSystem {
   bool IsReplicaPartitioned(ReplicaId replica) const {
     return partitioned_[static_cast<size_t>(replica)];
   }
-
-  /// Stops the periodic GC daemon (used by the experiment harness so the
-  /// event queue can drain at the end of a run).
-  void StopGc() { gc_stopped_ = true; }
 
   /// Crash-stop failure of the primary certifier; the standby (which has
   /// processed the identical certification stream) is promoted, replicas
@@ -227,8 +225,11 @@ class ReplicatedSystem {
   /// "certifier", "lb") to the event log.
   void EmitFaultEvent(obs::EventKind kind, const char* component,
                       ReplicaId replica);
-  /// Schedules the next MVCC garbage-collection sweep.
-  void ScheduleGc();
+  /// Every replica that is not crashed truncates its row versions below
+  /// its oldest active snapshot; the K=1 certifier (and its standby)
+  /// prunes below the minimum of those snapshots.  Partitioned replicas
+  /// count: their transactions may resubmit after the heal.
+  void SweepLowWaterMark();
   /// Registers the component state gauges (queue depths, version lag,
   /// utilizations) polled by the sampler.
   void RegisterGauges();
@@ -263,7 +264,7 @@ class ReplicatedSystem {
   ClientCallback client_cb_;
   History* history_ = nullptr;
   TxnId next_txn_id_ = 1;
-  bool gc_stopped_ = false;
+  int64_t commits_since_sweep_ = 0;
 
   // ---- The transport fabric (net/channel.h) ----
   // Endpoints: closing one (crash-stop) makes every channel pointed at

@@ -47,7 +47,7 @@ class SimRuntime : public Runtime {
   void Spawn(Callback fn) override { sim_->Schedule(0, std::move(fn)); }
 
   /// The deterministic backend cannot "drain" — the harness must have run
-  /// the queue dry (StopGc/StopSampling exist precisely so it can).  A
+  /// the queue dry (StopSampling exists precisely so it can).  A
   /// non-empty queue at Stop() is a harness bug: some daemon would leak
   /// its continuation.
   void Stop() override {

@@ -102,7 +102,7 @@ void Database::UnregisterSnapshot(DbVersion snapshot) {
   active_snapshots_.erase(it);
 }
 
-Status Database::ApplyWriteSet(const WriteSet& ws, bool force_log) {
+Status Database::ApplyWriteSet(const WriteSet& ws) {
   std::lock_guard lock(commit_mutex_);
   const DbVersion expected = CommittedVersion() + 1;
   if (ws.commit_version != expected) {
@@ -111,23 +111,17 @@ Status Database::ApplyWriteSet(const WriteSet& ws, bool force_log) {
         std::to_string(ws.commit_version) + ", expected " +
         std::to_string(expected));
   }
-  for (const WriteOp& op : ws.ops) {
-    Table* t = table(op.table);
-    if (op.type == WriteType::kDelete) {
-      t->Install(op.key, ws.commit_version, /*deleted=*/true, Row{});
-    } else {
-      SCREP_CHECK_MSG(op.row.has_value(), "insert/update without row");
-      t->Install(op.key, ws.commit_version, /*deleted=*/false, *op.row);
-    }
-  }
-  wal_.Append(ws, force_log);
-  committed_version_.store(ws.commit_version, std::memory_order_release);
+  InstallLocked(ws, expected);
   return Status::OK();
 }
 
 Status Database::ApplyWriteSetLocal(const WriteSet& ws) {
   std::lock_guard lock(commit_mutex_);
-  const DbVersion version = CommittedVersion() + 1;
+  InstallLocked(ws, CommittedVersion() + 1);
+  return Status::OK();
+}
+
+void Database::InstallLocked(const WriteSet& ws, DbVersion version) {
   for (const WriteOp& op : ws.ops) {
     Table* t = table(op.table);
     if (op.type == WriteType::kDelete) {
@@ -138,7 +132,6 @@ Status Database::ApplyWriteSetLocal(const WriteSet& ws) {
     }
   }
   committed_version_.store(version, std::memory_order_release);
-  return Status::OK();
 }
 
 Status Database::BulkLoad(TableId table_id, Row row) {
@@ -175,13 +168,11 @@ size_t Database::TruncateVersions(DbVersion oldest_active) {
   return discarded;
 }
 
-Status Database::RecoverFrom(const Wal& wal) {
-  std::vector<WriteSet> records;
-  SCREP_RETURN_NOT_OK(wal.ReadAll(&records));
-  for (const WriteSet& ws : records) {
-    SCREP_RETURN_NOT_OK(ApplyWriteSet(ws, /*force_log=*/false));
-  }
-  return Status::OK();
+size_t Database::VersionCount() const {
+  std::lock_guard lock(catalog_mutex_);
+  size_t total = 0;
+  for (const auto& t : tables_) total += t->VersionCount();
+  return total;
 }
 
 }  // namespace screp

@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/table.h"
-#include "storage/wal.h"
 #include "storage/write_set.h"
 
 namespace screp {
@@ -82,12 +81,10 @@ class Database {
   /// Applies a certified writeset and advances the committed version.
   /// `ws.commit_version` must be exactly CommittedVersion() + 1 — the
   /// caller (the proxy) is responsible for ordering — otherwise Internal
-  /// is returned and nothing is applied.
-  ///
-  /// When `force_log` is true the writeset is appended to the WAL with a
-  /// forced write; replicas run with log forcing off because the certifier
-  /// enforces durability (paper §V-A / Tashkent).
-  Status ApplyWriteSet(const WriteSet& ws, bool force_log = false);
+  /// is returned and nothing is applied.  Nothing is logged: replicas run
+  /// with log forcing off because the certifier's log is the durability
+  /// point (paper §V-A / Tashkent).
+  Status ApplyWriteSet(const WriteSet& ws);
 
   /// Applies a certified writeset stamping the *local* next version:
   /// the rows are installed at CommittedVersion() + 1 regardless of the
@@ -95,8 +92,7 @@ class Database {
   /// replication) proxies, where commit versions are per shard and no
   /// single global counter matches the database's dense local sequence;
   /// the proxy enforces per-shard application order, this method only
-  /// keeps local MVCC versioning dense.  Never logs (WAL recovery is
-  /// unsupported for sharded configurations).
+  /// keeps local MVCC versioning dense.
   Status ApplyWriteSetLocal(const WriteSet& ws);
 
   /// Loads a row directly at a version — used only for bulk-population
@@ -109,15 +105,15 @@ class Database {
   /// that began before this call never loses the versions it reads.
   size_t TruncateVersions(DbVersion oldest_active);
 
-  /// The write-ahead log (populated only when ApplyWriteSet logs).
-  Wal* wal() { return &wal_; }
-
-  /// Rebuilds database state by replaying a WAL from scratch; tables must
-  /// already be created (schemas are not logged). Used for recovery tests.
-  Status RecoverFrom(const Wal& wal);
+  /// Row versions stored across all tables (the replica's MVCC footprint).
+  size_t VersionCount() const;
 
  private:
   friend class Transaction;
+
+  /// Installs `ws`'s rows at `version` and publishes it as committed
+  /// (caller holds commit_mutex_).
+  void InstallLocked(const WriteSet& ws, DbVersion version);
 
   /// Called from ~Transaction; drops one registration of `snapshot`.
   void UnregisterSnapshot(DbVersion snapshot);
@@ -132,7 +128,6 @@ class Database {
   // smallest one.
   mutable std::mutex snapshots_mutex_;
   std::multiset<DbVersion> active_snapshots_;
-  Wal wal_;
 };
 
 }  // namespace screp

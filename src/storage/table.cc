@@ -104,9 +104,11 @@ void Table::Install(int64_t key, DbVersion version, bool deleted, Row row) {
     // a refresh duplicate; last write wins.
     chain.back().deleted = deleted;
     chain.back().row = std::move(row);
-    return;
+  } else {
+    chain.push_back(RowVersion{version, deleted, std::move(row)});
+    ++version_count_;
   }
-  chain.push_back(RowVersion{version, deleted, std::move(row)});
+  if (chain.size() > 1 || deleted) gc_candidates_.insert(key);
 }
 
 void Table::Scan(
@@ -151,7 +153,9 @@ size_t Table::LiveRowCount(DbVersion snapshot) const {
 size_t Table::TruncateVersions(DbVersion oldest_active) {
   std::unique_lock lock(mutex_);
   size_t discarded = 0;
-  for (auto it = rows_.begin(); it != rows_.end();) {
+  for (auto cit = gc_candidates_.begin(); cit != gc_candidates_.end();) {
+    auto it = rows_.find(*cit);
+    SCREP_CHECK(it != rows_.end());
     Chain& chain = it->second;
     // Find the newest version <= oldest_active; everything before it is
     // unreachable.
@@ -168,22 +172,21 @@ size_t Table::TruncateVersions(DbVersion oldest_active) {
     if (chain.size() == 1 && chain[0].deleted &&
         chain[0].version <= oldest_active) {
       discarded += 1;
-      it = rows_.erase(it);
+      rows_.erase(it);
+      cit = gc_candidates_.erase(cit);
+    } else if (chain.size() == 1 && !chain[0].deleted) {
+      cit = gc_candidates_.erase(cit);
     } else {
-      ++it;
+      ++cit;
     }
   }
+  version_count_ -= discarded;
   return discarded;
 }
 
 size_t Table::VersionCount() const {
   std::shared_lock lock(mutex_);
-  size_t n = 0;
-  for (const auto& [key, chain] : rows_) {
-    (void)key;
-    n += chain.size();
-  }
-  return n;
+  return version_count_;
 }
 
 }  // namespace screp

@@ -20,6 +20,7 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -96,9 +97,11 @@ class Table {
   /// Garbage-collects versions no longer visible to any snapshot >=
   /// `oldest_active`: for each key keeps the newest version <=
   /// oldest_active plus everything newer. Returns versions discarded.
+  /// Visits only keys with more than one version or a tombstone, so a
+  /// sweep costs O(keys written since the last one), not O(table).
   size_t TruncateVersions(DbVersion oldest_active);
 
-  /// Total stored row-versions (for GC accounting/tests).
+  /// Total stored row-versions (for GC accounting/tests); O(1).
   size_t VersionCount() const;
 
  private:
@@ -117,6 +120,10 @@ class Table {
 
   mutable std::shared_mutex mutex_;
   std::map<int64_t, Chain> rows_;  // ordered => deterministic scans
+  /// Keys whose chain has more than one version or ends in a tombstone:
+  /// the only keys TruncateVersions can shrink.
+  std::unordered_set<int64_t> gc_candidates_;
+  size_t version_count_ = 0;
 
   /// Secondary indexes: column ordinal -> (value -> candidate keys).
   /// Candidates are keys that at *some* version held the value; readers

@@ -1,40 +1,21 @@
 #include "storage/wal.h"
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+
 namespace screp {
 
-uint64_t Wal::Append(const WriteSet& ws, bool force) {
+uint64_t Wal::Append(const WriteSet& ws) {
   std::lock_guard lock(mutex_);
-  const uint64_t lsn = appended_++;
-  if (force) {
-    // Force implies flushing everything buffered before this record, to
-    // preserve ordering.  The record bytes come straight from the
-    // writeset's memoized encode arena — encoded once when the certifier
-    // froze it, appended here without a per-record temporary.
-    for (std::string& b : buffered_) {
-      durable_ += b;
-      ++durable_count_;
-    }
-    buffered_.clear();
-    durable_ += ws.EncodedBytes();
-    ++durable_count_;
-  } else {
-    buffered_.push_back(ws.EncodedBytes());
+  if (durable_count_ % kIndexStride == 0) {
+    index_.emplace_back(ws.commit_version, durable_.size());
   }
-  return lsn;
-}
-
-void Wal::Force() {
-  std::lock_guard lock(mutex_);
-  for (std::string& b : buffered_) {
-    durable_ += b;
-    ++durable_count_;
-  }
-  buffered_.clear();
-}
-
-uint64_t Wal::Size() const {
-  std::lock_guard lock(mutex_);
-  return appended_;
+  // The record bytes come straight from the writeset's memoized encode
+  // arena — encoded once when the certifier froze it, appended here
+  // without a per-record temporary.
+  durable_ += ws.EncodedBytes();
+  return durable_count_++;
 }
 
 uint64_t Wal::DurableSize() const {
@@ -48,23 +29,41 @@ size_t Wal::DurableBytes() const {
 }
 
 Status Wal::ReadAll(std::vector<WriteSet>* out) const {
+  return ReadSince(std::numeric_limits<DbVersion>::min(),
+                   [out](const WriteSet& ws) { out->push_back(ws); });
+}
+
+size_t Wal::SeekOffsetLocked(DbVersion after) const {
+  // Last indexed record whose version is <= after: every record before
+  // it has a version <= after too (non-decreasing order), so it is safe
+  // to start there.
+  auto it = std::upper_bound(
+      index_.begin(), index_.end(), after,
+      [](DbVersion v, const std::pair<DbVersion, size_t>& entry) {
+        return v < entry.first;
+      });
+  return it == index_.begin() ? 0 : std::prev(it)->second;
+}
+
+size_t Wal::SeekOffset(DbVersion after) const {
   std::lock_guard lock(mutex_);
-  size_t offset = 0;
+  return SeekOffsetLocked(after);
+}
+
+Status Wal::ReadSince(
+    DbVersion after,
+    const std::function<void(const WriteSet&)>& sink) const {
+  std::lock_guard lock(mutex_);
+  size_t offset = SeekOffsetLocked(after);
+  WriteSet ws;
   while (offset < durable_.size()) {
-    WriteSet ws;
     if (!WriteSet::DecodeFrom(durable_, &offset, &ws)) {
       return Status::IOError("corrupt WAL record at offset " +
                              std::to_string(offset));
     }
-    out->push_back(std::move(ws));
+    if (ws.commit_version > after) sink(ws);
   }
   return Status::OK();
-}
-
-void Wal::DropUnforced() {
-  std::lock_guard lock(mutex_);
-  appended_ -= buffered_.size();
-  buffered_.clear();
 }
 
 }  // namespace screp

@@ -1,18 +1,19 @@
 // A minimal write-ahead log storing serialized writesets.
 //
-// In the paper's prototype, transaction durability is enforced by the
-// certifier (which forces its log) while replicas run with log forcing
-// turned off.  Both behaviours use this WAL: appends are buffered, and
-// Force() makes everything appended so far durable.  The log is held in
-// memory with explicit serialization so recovery genuinely re-decodes
-// bytes.
+// In the paper's prototype transaction durability is enforced by the
+// certifier, which appends each group-commit batch once its (simulated)
+// force completes; replicas run with log forcing off and keep no log.
+// The log is held in memory with explicit serialization so recovery
+// genuinely re-decodes bytes.
 
 #ifndef SCREP_STORAGE_WAL_H_
 #define SCREP_STORAGE_WAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -24,21 +25,18 @@ namespace screp {
 /// Append-only log of certified writesets.
 class Wal {
  public:
+  /// One sparse-index entry per this many records: a version seek
+  /// decodes at most this many records it then skips.
+  static constexpr uint64_t kIndexStride = 64;
+
   Wal() = default;
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Appends a writeset; returns its log sequence number (0-based).
-  /// When `force` is true the record is immediately durable.
-  uint64_t Append(const WriteSet& ws, bool force);
+  /// Appends a writeset durably; returns its 0-based sequence number.
+  uint64_t Append(const WriteSet& ws);
 
-  /// Makes every appended record durable.
-  void Force();
-
-  /// Number of records appended.
-  uint64_t Size() const;
-
-  /// Number of records that are durable (forced).
+  /// Number of records in the log.
   uint64_t DurableSize() const;
 
   /// Total bytes of serialized durable log.
@@ -48,14 +46,24 @@ class Wal {
   /// corrupt record.
   Status ReadAll(std::vector<WriteSet>* out) const;
 
-  /// Drops *unforced* records — simulates a crash losing buffered log.
-  void DropUnforced();
+  /// Streams every record with commit_version > `after` to `sink` in log
+  /// order, decoding one at a time from the sparse (commit version ->
+  /// byte offset) index's seek point.  Requires non-decreasing commit
+  /// versions (the certifier's log).
+  Status ReadSince(DbVersion after,
+                   const std::function<void(const WriteSet&)>& sink) const;
+
+  /// Where ReadSince(after) starts decoding: the indexed record nearest
+  /// before the first one with commit_version > `after`.
+  size_t SeekOffset(DbVersion after) const;
 
  private:
+  size_t SeekOffsetLocked(DbVersion after) const;
+
   mutable std::mutex mutex_;
-  std::string durable_;            // serialized forced records
-  std::vector<std::string> buffered_;  // serialized but not yet forced
-  uint64_t appended_ = 0;
+  std::string durable_;  // serialized records
+  /// (commit version, byte offset) of every kIndexStride-th record.
+  std::vector<std::pair<DbVersion, size_t>> index_;
   uint64_t durable_count_ = 0;
 };
 

@@ -204,8 +204,7 @@ Result<ExperimentResult> RunExperiment(const Workload& workload,
   // no response would otherwise look like gaps in the total order).
   rt.Schedule(end, [&clients, &system]() {
     for (auto& client : clients) client->Stop();
-    system->StopGc();  // otherwise the GC daemon keeps the queue alive
-    system->obs()->StopSampling();  // likewise for the sampler daemon
+    system->obs()->StopSampling();  // else the daemon keeps the queue alive
   });
   sim.RunUntil(end);
   metrics.Finish(end);

@@ -184,7 +184,6 @@ TEST(AuditIntegrationTest, ReplayedHistoryAgreesWithOfflineCheckers) {
   const SimTime end = Seconds(2);
   sim.Schedule(end, [&clients, &system]() {
     for (auto& client : clients) client->Stop();
-    system->StopGc();
     system->obs()->StopSampling();
   });
   sim.RunUntil(end);

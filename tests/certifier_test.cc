@@ -217,6 +217,115 @@ TEST_F(CertifierTest, WindowOverflowAbortsConservatively) {
   EXPECT_EQ(certifier_->window_abort_count(), 1);
 }
 
+// Pruning can empty the window; an empty window must not read as
+// "covers everything": a snapshot below the prune mark is window-aborted
+// instead of certified without a conflict check.
+TEST_F(CertifierTest, PrunedToEmptyWindowAbortsStaleSnapshots) {
+  Build(2, false);
+  for (TxnId t = 1; t <= 5; ++t) {
+    certifier_->SubmitCertification(
+        MakeWs(t, 0, static_cast<DbVersion>(t - 1), {1}));
+    sim_.RunAll();
+  }
+  ASSERT_EQ(certifier_->CommitVersion(), 5);
+  certifier_->PruneThrough(5);
+  EXPECT_EQ(certifier_->pruned_through(), 5);
+  EXPECT_EQ(certifier_->retained_writesets(), 0u);
+  EXPECT_EQ(certifier_->conflict_index_size(), 0u);
+  // Only the decision made at the mark itself stays (an abort decided at
+  // version 5 for a snapshot-5 transaction could still be awaited).
+  EXPECT_LE(certifier_->decided_size(), 1u);
+  // Writes key 1, which versions 1..5 all wrote: certifying it against
+  // the empty window would wrongly commit.
+  certifier_->SubmitCertification(MakeWs(10, 1, 2, {1}));
+  sim_.RunAll();
+  EXPECT_FALSE(decisions_.back().second.commit);
+  EXPECT_EQ(certifier_->window_abort_count(), 1);
+  // A snapshot at the mark needs nothing the window dropped.
+  certifier_->SubmitCertification(MakeWs(11, 1, 5, {1}));
+  sim_.RunAll();
+  EXPECT_TRUE(decisions_.back().second.commit);
+  EXPECT_EQ(decisions_.back().second.commit_version, 6);
+  // The mark never moves back.
+  certifier_->PruneThrough(3);
+  EXPECT_EQ(certifier_->pruned_through(), 5);
+}
+
+// The durable log serves what the pruned window no longer holds, and the
+// window whatever is not durable yet: together, gap-free and in order.
+TEST_F(CertifierTest, FetchSinceStitchesLogSuffixAndWindow) {
+  Build(2, false);
+  for (TxnId t = 1; t <= 200; ++t) {
+    certifier_->SubmitCertification(
+        MakeWs(t, 0, static_cast<DbVersion>(t - 1),
+               {static_cast<int64_t>(t)}));
+    sim_.RunAll();
+  }
+  certifier_->PruneThrough(150);
+  ASSERT_EQ(certifier_->retained_writesets(), 50u);
+  // Two more certified but not yet forced: only the window has them.
+  certifier_->SubmitCertification(MakeWs(201, 0, 200, {201}));
+  certifier_->SubmitCertification(MakeWs(202, 0, 200, {202}));
+  sim_.RunUntil(sim_.Now() + Micros(300));
+  ASSERT_EQ(certifier_->CommitVersion(), 202);
+  ASSERT_EQ(certifier_->wal().DurableSize(), 200u);
+  for (DbVersion from : {DbVersion{0}, DbVersion{63}, DbVersion{64},
+                         DbVersion{149}, DbVersion{150}, DbVersion{201}}) {
+    std::vector<DbVersion> got;
+    ASSERT_TRUE(certifier_
+                    ->FetchSince(from,
+                                 [&got](const WriteSet& ws) {
+                                   got.push_back(ws.commit_version);
+                                 })
+                    .ok());
+    ASSERT_EQ(got.size(), static_cast<size_t>(202 - from)) << from;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], from + 1 + static_cast<DbVersion>(i)) << from;
+    }
+  }
+  sim_.RunAll();
+}
+
+// A standby mirrors the primary's prune mark at the primary's stream
+// position, not on arrival: a writeset the primary certified before it
+// pruned must be certified by a lagging standby against the same,
+// unpruned window — otherwise the two would diverge.
+TEST_F(CertifierTest, StandbyMirrorsPruneAtTheSameStreamPosition) {
+  Build(2, false);
+  Certifier standby(&rt_, CertifierConfig{}, 2, false);
+  standby.SetMuted(true);
+  std::vector<WriteSet> forwarded;
+  certifier_->SetForwardCallback(
+      [&forwarded](const WriteSet& ws) { forwarded.push_back(ws); });
+  // Versions 1..3; the third has an old snapshot but no conflict.
+  certifier_->SubmitCertification(MakeWs(1, 0, 0, {1}));
+  certifier_->SubmitCertification(MakeWs(2, 0, 0, {2}));
+  certifier_->SubmitCertification(MakeWs(3, 1, 0, {3}));
+  sim_.RunAll();
+  ASSERT_EQ(certifier_->CommitVersion(), 3);
+  certifier_->PruneThrough(3);
+  // The standby has seen only the first forward when the sweep mirrors.
+  standby.SubmitCertification(forwarded[0]);
+  sim_.RunAll();
+  standby.MirrorPruneOf(*certifier_);
+  EXPECT_EQ(standby.pruned_through(), 0);
+  standby.SubmitCertification(forwarded[1]);
+  standby.SubmitCertification(forwarded[2]);
+  sim_.RunAll();
+  EXPECT_EQ(standby.CommitVersion(), 3);
+  EXPECT_EQ(standby.window_abort_count(), 0);
+  // The next forwarded submission is decided against the mirrored mark,
+  // exactly as the primary decides it.
+  certifier_->SubmitCertification(MakeWs(4, 0, 1, {4}));
+  sim_.RunAll();
+  standby.SubmitCertification(forwarded[3]);
+  sim_.RunAll();
+  EXPECT_EQ(certifier_->window_abort_count(), 1);
+  EXPECT_EQ(standby.window_abort_count(), 1);
+  EXPECT_EQ(standby.pruned_through(), 3);
+  EXPECT_EQ(standby.CommitVersion(), certifier_->CommitVersion());
+}
+
 TEST_F(CertifierTest, DecisionMapBoundedByConflictWindow) {
   CertifierConfig config;
   config.conflict_window = 16;

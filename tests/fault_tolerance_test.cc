@@ -116,6 +116,73 @@ TEST(FaultToleranceTest, RecoveredReplicaConvergesViaCatchUp) {
             system->replica(0)->db()->CommittedVersion());
 }
 
+// While a replica is down the sweep prunes the certifier's window past
+// its V_local, so recovery must stream the durable log's suffix (seeking
+// past the prefix) and then the window: the caught-up replica ends with
+// the same rows, and the audit stays clean.
+TEST(FaultToleranceTest, RecoveryStreamsTheLogSuffixPastThePrunedWindow) {
+  Simulator sim;
+  runtime::SimRuntime rt{&sim};
+  SystemConfig config;
+  config.replica_count = 3;
+  config.level = ConsistencyLevel::kLazyCoarse;
+  config.obs.audit = true;
+  MicroWorkload workload(SmallMicro(1.0));
+  auto system_or = ReplicatedSystem::Create(
+      &rt, config,
+      [&workload](Database* db) { return workload.BuildSchema(db); },
+      [&workload](const Database& db, sql::TransactionRegistry* reg) {
+        return workload.DefineTransactions(db, reg);
+      });
+  ASSERT_TRUE(system_or.ok());
+  auto system = std::move(system_or).value();
+  system->SetClientCallback([](const TxnResponse&) {});
+  int64_t next_key = 0;
+  auto submit_updates = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      TxnRequest req;
+      req.txn_id = system->NextTxnId();
+      req.type = *system->registry().Find("update_item0");
+      req.session = 1;
+      req.params = {{Value(1), Value(next_key++ % 200)}};
+      system->Submit(std::move(req));
+    }
+    sim.RunAll();
+  };
+
+  submit_updates(10);
+  system->CrashReplica(2);
+  const DbVersion at_crash = system->replica(2)->proxy()->v_local();
+  // Enough commits for many sweeps: the window no longer reaches back
+  // to the crashed replica.
+  for (int round = 0; round < 40; ++round) submit_updates(10);
+  const Certifier* certifier = system->certifier();
+  ASSERT_GT(certifier->pruned_through(), at_crash + 1);
+  ASSERT_LT(certifier->retained_writesets(),
+            static_cast<size_t>(certifier->CommitVersion() - at_crash));
+
+  system->RecoverReplica(2);
+  sim.RunAll();
+  submit_updates(10);
+  const DbVersion v = certifier->CommitVersion();
+  ASSERT_EQ(system->replica(2)->proxy()->v_local(), v);
+  const TableId t = *system->replica(0)->db()->FindTable("item0");
+  std::vector<std::string> want, got;
+  system->replica(0)->db()->table(t)->Scan(v, [&](int64_t, const Row& row) {
+    want.push_back(RowToString(row));
+    return true;
+  });
+  system->replica(2)->db()->table(t)->Scan(v, [&](int64_t, const Row& row) {
+    got.push_back(RowToString(row));
+    return true;
+  });
+  EXPECT_EQ(want, got);
+  EXPECT_EQ(certifier->window_abort_count(), 0);
+  const obs::Auditor* auditor = system->obs()->auditor();
+  ASSERT_NE(auditor, nullptr);
+  EXPECT_TRUE(auditor->ok()) << auditor->Summary();
+}
+
 TEST(FaultToleranceTest, InFlightTransactionsFailOverToClient) {
   Simulator sim;
   runtime::SimRuntime rt{&sim};

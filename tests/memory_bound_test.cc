@@ -1,0 +1,211 @@
+// Soak test for the low-water-mark sweep: what the middleware retains
+// (row versions, the certifier's conflict window and its retained
+// decisions) must not grow with run length.  A micro workload runs for
+// 200k commits on SimRuntime, with one replica crash and recovery in the
+// middle.  The retention gauges are read over the first 50k commits and
+// from the recovered replica's catch-up to 200k commits, and must stay
+// under bounds that do not depend on how long the run lasts.  Around the
+// outage retention may rise by the outage's backlog (the recovering
+// replica holds the horizon until it has caught up), but no further.  The
+// online auditor must stay clean throughout.
+//
+// Clients think 4 ms between transactions, so replicas have headroom: at
+// saturation a recovered replica applies barely faster than the cluster
+// commits and takes tens of thousands of commits to close even a short
+// outage, which would leave no steady state to measure after it.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "runtime/sim_runtime.h"
+#include "workload/client.h"
+#include "workload/metrics.h"
+#include "workload/micro.h"
+
+namespace screp {
+namespace {
+
+constexpr DbVersion kEarlyCommits = 50000;
+constexpr DbVersion kTotalCommits = 200000;
+constexpr DbVersion kCrashAt = 100000;
+constexpr DbVersion kRecoverAt = 105000;
+/// The recovered replica must have caught up by here, leaving at least
+/// 50k commits of steady state after the outage.
+constexpr DbVersion kCaughtUpBy = 150000;
+constexpr int kReplicas = 3;
+constexpr ReplicaId kCrashed = 2;
+
+/// Peak retention gauges over one phase of the run.
+struct Retention {
+  double versions = 0;  // max over replicas of replicaN.mvcc_versions
+  size_t table_versions = 0;  // max over replicas and tables
+  double retained = 0;  // certifier.retained_writesets
+  double decided = 0;   // certifier.decided
+
+  void Observe(ReplicatedSystem* system) {
+    const obs::MetricsRegistry* registry = system->obs()->registry();
+    for (ReplicaId r = 0; r < kReplicas; ++r) {
+      versions = std::max(
+          versions, registry->GaugeValue("replica" + std::to_string(r) +
+                                         ".mvcc_versions"));
+      Database* db = system->replica(r)->db();
+      for (size_t t = 0; t < db->TableCount(); ++t) {
+        const Table* table = db->table(static_cast<TableId>(t));
+        table_versions = std::max(table_versions, table->VersionCount());
+      }
+    }
+    retained = std::max(retained,
+                        registry->GaugeValue("certifier.retained_writesets"));
+    decided = std::max(decided, registry->GaugeValue("certifier.decided"));
+  }
+};
+
+class MemoryBoundTest : public ::testing::TestWithParam<ConsistencyLevel> {};
+
+TEST_P(MemoryBoundTest, RetentionStaysFlatOverALongRun) {
+  MicroConfig micro;
+  micro.table_count = 2;
+  micro.rows_per_table = 500;
+  micro.update_fraction = 0.5;
+  const MicroWorkload workload(micro);
+
+  Simulator sim;
+  runtime::SimRuntime rt{&sim};
+  SystemConfig config;
+  config.replica_count = kReplicas;
+  config.level = GetParam();
+  config.obs.audit = true;
+  auto system_or = ReplicatedSystem::Create(
+      &rt, config,
+      [&workload](Database* db) { return workload.BuildSchema(db); },
+      [&workload](const Database& db, sql::TransactionRegistry* reg) {
+        return workload.DefineTransactions(db, reg);
+      });
+  ASSERT_TRUE(system_or.ok()) << system_or.status().ToString();
+  auto system = std::move(*system_or);
+  const double initial_versions =
+      system->obs()->registry()->GaugeValue("replica0.mvcc_versions");
+  ASSERT_GT(initial_versions, 1000);
+
+  MetricsCollector metrics(/*warmup=*/0);
+  Rng seed_rng(5);
+  std::vector<std::unique_ptr<ClientDriver>> clients;
+  ClientConfig client_config;
+  client_config.mean_think_time = Millis(4);
+  for (int c = 0; c < 8; ++c) {
+    clients.push_back(std::make_unique<ClientDriver>(
+        system.get(), &metrics,
+        workload.CreateGenerator(system->registry(), c, seed_rng.Fork()), c,
+        client_config, seed_rng.Fork()));
+  }
+  system->SetClientCallback([&clients](const TxnResponse& r) {
+    clients[static_cast<size_t>(r.client_id)]->OnResponse(r);
+  });
+  for (auto& client : clients) client->Start();
+
+  const Certifier* certifier = system->certifier();
+  const obs::MetricsRegistry* registry = system->obs()->registry();
+  Retention early, outage, late;
+  double wal_bytes_early = 0;
+  bool crashed = false, recovered = false;
+  DbVersion caught_up_at = 0;
+  while (certifier->CommitVersion() < kTotalCommits) {
+    sim.RunUntil(sim.Now() + Millis(20));
+    const DbVersion v = certifier->CommitVersion();
+    if (!crashed && v >= kCrashAt) {
+      system->CrashReplica(kCrashed);
+      crashed = true;
+    } else if (crashed && !recovered && v >= kRecoverAt) {
+      // The window has been pruned far past the crashed replica's
+      // V_local, so its catch-up streams the certifier log's suffix.
+      EXPECT_GT(certifier->pruned_through(),
+                system->replica(kCrashed)->proxy()->v_local());
+      system->RecoverReplica(kCrashed);
+      recovered = true;
+    } else if (recovered && caught_up_at == 0 &&
+               system->replica(kCrashed)->proxy()->v_local() +
+                       ReplicatedSystem::kSweepEveryCommits >
+                   v) {
+      caught_up_at = v;
+    }
+    if (v <= kEarlyCommits) {
+      early.Observe(system.get());
+      wal_bytes_early = registry->GaugeValue("certifier.wal_bytes");
+    } else if (caught_up_at != 0 &&
+               v >= caught_up_at + 2 * ReplicatedSystem::kSweepEveryCommits) {
+      // Steady state: caught up, and swept since (an eager catch-up
+      // blocks commits, so the sweep that trims it comes just after).
+      late.Observe(system.get());
+    } else {
+      outage.Observe(system.get());
+    }
+  }
+  ASSERT_TRUE(recovered);
+  ASSERT_GT(caught_up_at, 0);
+  EXPECT_LE(caught_up_at, kCaughtUpBy);
+  for (auto& client : clients) client->Stop();
+  system->obs()->StopSampling();
+  sim.RunAll();
+
+  // Fixed bounds, independent of run length: the live rows plus a few
+  // sweep intervals of versions, and a few sweep intervals of window.
+  const double sweep = ReplicatedSystem::kSweepEveryCommits;
+  EXPECT_LE(late.versions, initial_versions + 8 * sweep);
+  EXPECT_LE(late.table_versions,
+            static_cast<size_t>(micro.rows_per_table + 8 * sweep));
+  EXPECT_LE(late.retained, 8 * sweep);
+  EXPECT_LE(late.decided, 8 * sweep);
+  // And flat: a longer stretch after a crash/recovery retains at most
+  // what the first 50k commits did, up to the spread of a peak over more
+  // samples.  Retention that grew with run length would be 4x at 200k.
+  EXPECT_LE(late.versions - initial_versions,
+            2 * (early.versions - initial_versions));
+  EXPECT_LE(late.retained, 2 * early.retained);
+  EXPECT_LE(late.decided, 2 * early.decided);
+  // Around the outage: at most the outage's backlog on top.
+  const double backlog = static_cast<double>(kRecoverAt - kCrashAt);
+  EXPECT_LE(outage.versions, initial_versions + backlog + 8 * sweep);
+  EXPECT_LE(outage.retained, backlog + 8 * sweep);
+  EXPECT_LE(outage.decided, backlog + 8 * sweep);
+  // The certifier log is the one structure still growing with the run:
+  // it stays append-only until checkpoint truncation lands.
+  EXPECT_GT(registry->GaugeValue("certifier.wal_bytes"), 3 * wal_bytes_early);
+  EXPECT_EQ(certifier->window_abort_count(), 0);
+
+  // The recovered replica converged: same version, same rows.
+  const DbVersion final_version = certifier->CommitVersion();
+  for (ReplicaId r = 0; r < kReplicas; ++r) {
+    ASSERT_EQ(system->replica(r)->proxy()->v_local(), final_version);
+  }
+  Database* reference = system->replica(0)->db();
+  Database* caught_up = system->replica(kCrashed)->db();
+  for (size_t t = 0; t < reference->TableCount(); ++t) {
+    std::vector<std::string> want, got;
+    const auto id = static_cast<TableId>(t);
+    reference->table(id)->Scan(final_version, [&](int64_t, const Row& row) {
+      want.push_back(RowToString(row));
+      return true;
+    });
+    caught_up->table(id)->Scan(final_version, [&](int64_t, const Row& row) {
+      got.push_back(RowToString(row));
+      return true;
+    });
+    EXPECT_EQ(want, got) << reference->TableName(id);
+  }
+  const obs::Auditor* auditor = system->obs()->auditor();
+  ASSERT_NE(auditor, nullptr);
+  EXPECT_TRUE(auditor->ok()) << auditor->Summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, MemoryBoundTest,
+    ::testing::Values(ConsistencyLevel::kLazyCoarse, ConsistencyLevel::kEager),
+    [](const ::testing::TestParamInfo<ConsistencyLevel>& info) {
+      return std::string(ConsistencyLevelName(info.param));
+    });
+
+}  // namespace
+}  // namespace screp

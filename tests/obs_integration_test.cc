@@ -87,7 +87,6 @@ TEST(ObsIntegrationTest, SpanDurationsMatchStageAccumulators) {
   for (auto& client : clients) client->Start();
   sim.Schedule(end, [&clients, &system]() {
     for (auto& client : clients) client->Stop();
-    system->StopGc();
     system->obs()->StopSampling();
   });
   sim.RunUntil(end);
@@ -192,7 +191,6 @@ TEST(ObsIntegrationTest, SamplerSeriesStayAlignedAcrossCertifierFailover) {
   const SimTime end = Seconds(2);
   sim.Schedule(end, [&clients, &system]() {
     for (auto& client : clients) client->Stop();
-    system->StopGc();
     system->obs()->StopSampling();
   });
   sim.RunUntil(end);

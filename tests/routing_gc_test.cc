@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "consistency/checker.h"
 #include "workload/experiment.h"
 #include "workload/micro.h"
@@ -75,52 +77,56 @@ TEST(RoutingPolicyTest, LeastActiveBeatsRoundRobinOnSkewedWork) {
 }
 
 TEST(GcTest, VersionCountBoundedWithGc) {
-  // A tiny hot table hammered with updates accumulates versions without
-  // GC; with a periodic sweep the chains stay bounded.
+  // A tiny hot table hammered with updates: every commit adds a version,
+  // and the always-on low-water-mark sweep (once per kSweepEveryCommits
+  // commits) keeps the chains near the live row count throughout the
+  // run, not just at its end.
   MicroConfig micro;
   micro.table_count = 1;
   micro.rows_per_table = 10;  // hot rows: many versions each
   micro.update_fraction = 1.0;
   MicroWorkload workload(micro);
 
-  size_t versions[2];
-  int i = 0;
-  for (SimTime gc_interval : {SimTime{0}, Millis(200)}) {
-    Simulator sim;
-    runtime::SimRuntime rt{&sim};
-    SystemConfig config;
-    config.replica_count = 2;
-    config.level = ConsistencyLevel::kLazyCoarse;
-    config.gc_interval = gc_interval;
-    auto system_or = ReplicatedSystem::Create(
-        &rt, config,
-        [&workload](Database* db) { return workload.BuildSchema(db); },
-        [&workload](const Database& db, sql::TransactionRegistry* reg) {
-          return workload.DefineTransactions(db, reg);
-        });
-    ASSERT_TRUE(system_or.ok());
-    auto system = std::move(system_or).value();
-    system->SetClientCallback([](const TxnResponse&) {});
-    Rng rng(3);
-    for (int n = 0; n < 500; ++n) {
-      TxnRequest req;
-      req.txn_id = system->NextTxnId();
-      req.type = *system->registry().Find("update_item0");
-      req.session = 1;
-      req.params = {{Value(1), Value(rng.NextInRange(0, 9))}};
-      system->Submit(std::move(req));
-      sim.RunUntil(sim.Now() + Millis(5));
-    }
-    sim.RunUntil(sim.Now() + Seconds(1));
-    auto table = system->replica(0)->db()->FindTable("item0");
-    ASSERT_TRUE(table.ok());
-    versions[i++] =
-        system->replica(0)->db()->table(*table)->VersionCount();
+  Simulator sim;
+  runtime::SimRuntime rt{&sim};
+  SystemConfig config;
+  config.replica_count = 2;
+  config.level = ConsistencyLevel::kLazyCoarse;
+  auto system_or = ReplicatedSystem::Create(
+      &rt, config,
+      [&workload](Database* db) { return workload.BuildSchema(db); },
+      [&workload](const Database& db, sql::TransactionRegistry* reg) {
+        return workload.DefineTransactions(db, reg);
+      });
+  ASSERT_TRUE(system_or.ok());
+  auto system = std::move(system_or).value();
+  int committed = 0;
+  system->SetClientCallback([&committed](const TxnResponse& r) {
+    if (r.outcome == TxnOutcome::kCommitted) ++committed;
+  });
+  const Table* table =
+      system->replica(0)->db()->table(*system->replica(0)->db()->FindTable(
+          "item0"));
+  Rng rng(3);
+  size_t peak = 0;
+  for (int n = 0; n < 500; ++n) {
+    TxnRequest req;
+    req.txn_id = system->NextTxnId();
+    req.type = *system->registry().Find("update_item0");
+    req.session = 1;
+    req.params = {{Value(1), Value(rng.NextInRange(0, 9))}};
+    system->Submit(std::move(req));
+    sim.RunUntil(sim.Now() + Millis(5));
+    peak = std::max(peak, table->VersionCount());
   }
-  // Without GC every update leaves a version (500 + initial 10-ish);
-  // with GC the table stays near its live row count.
-  EXPECT_GT(versions[0], 400u);
-  EXPECT_LT(versions[1], 60u);
+  sim.RunUntil(sim.Now() + Seconds(1));
+  EXPECT_GT(committed, 400);
+  // Without GC every update leaves a version (500 + the initial 10); with
+  // the sweep the table never holds more than the live rows, one sweep
+  // interval of new versions and the few versions still above the
+  // horizon at the last sweep (the committing transaction's own snapshot
+  // and the other replica's apply lag).
+  EXPECT_LT(peak, 60u);
 }
 
 TEST(GcTest, GcPreservesCorrectResults) {
@@ -131,7 +137,8 @@ TEST(GcTest, GcPreservesCorrectResults) {
   ExperimentConfig config;
   config.system.level = ConsistencyLevel::kLazyCoarse;
   config.system.replica_count = 3;
-  config.system.gc_interval = Millis(50);  // aggressive
+  // The low-water-mark sweep is always on: GC runs every
+  // kSweepEveryCommits commits while readers hold snapshots.
   config.client_count = 6;
   config.warmup = Seconds(0.5);
   config.duration = Seconds(3);

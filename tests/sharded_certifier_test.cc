@@ -558,7 +558,6 @@ TEST(ShardedSystemTest, CrossShardWorkloadDrivesTheSequencerAuditClean) {
   const SimTime end = Seconds(2);
   sim.Schedule(end, [&clients, &system]() {
     for (auto& client : clients) client->Stop();
-    system->StopGc();
     system->obs()->StopSampling();
   });
   sim.RunUntil(end);

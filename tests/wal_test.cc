@@ -16,38 +16,15 @@ WriteSet MakeWs(TxnId id, DbVersion version) {
 
 TEST(WalTest, AppendForcedIsImmediatelyDurable) {
   Wal wal;
-  EXPECT_EQ(wal.Append(MakeWs(1, 1), /*force=*/true), 0u);
-  EXPECT_EQ(wal.Size(), 1u);
+  EXPECT_EQ(wal.Append(MakeWs(1, 1)), 0u);
   EXPECT_EQ(wal.DurableSize(), 1u);
   EXPECT_GT(wal.DurableBytes(), 0u);
-}
-
-TEST(WalTest, UnforcedAppendsBufferUntilForce) {
-  Wal wal;
-  wal.Append(MakeWs(1, 1), false);
-  wal.Append(MakeWs(2, 2), false);
-  EXPECT_EQ(wal.Size(), 2u);
-  EXPECT_EQ(wal.DurableSize(), 0u);
-  wal.Force();
-  EXPECT_EQ(wal.DurableSize(), 2u);
-}
-
-TEST(WalTest, ForcedAppendFlushesEarlierBuffered) {
-  Wal wal;
-  wal.Append(MakeWs(1, 1), false);
-  wal.Append(MakeWs(2, 2), true);  // must flush #1 first to keep order
-  EXPECT_EQ(wal.DurableSize(), 2u);
-  std::vector<WriteSet> records;
-  ASSERT_TRUE(wal.ReadAll(&records).ok());
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].txn_id, 1u);
-  EXPECT_EQ(records[1].txn_id, 2u);
 }
 
 TEST(WalTest, ReadAllDecodesContent) {
   Wal wal;
   for (int i = 1; i <= 5; ++i) {
-    wal.Append(MakeWs(static_cast<TxnId>(i), i), true);
+    wal.Append(MakeWs(static_cast<TxnId>(i), i));
   }
   std::vector<WriteSet> records;
   ASSERT_TRUE(wal.ReadAll(&records).ok());
@@ -58,24 +35,49 @@ TEST(WalTest, ReadAllDecodesContent) {
   }
 }
 
-TEST(WalTest, DropUnforcedSimulatesCrash) {
-  Wal wal;
-  wal.Append(MakeWs(1, 1), true);
-  wal.Append(MakeWs(2, 2), false);
-  wal.DropUnforced();
-  EXPECT_EQ(wal.Size(), 1u);
-  EXPECT_EQ(wal.DurableSize(), 1u);
-  std::vector<WriteSet> records;
-  ASSERT_TRUE(wal.ReadAll(&records).ok());
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].txn_id, 1u);
-}
-
 TEST(WalTest, EmptyReadAllOk) {
   Wal wal;
   std::vector<WriteSet> records;
   EXPECT_TRUE(wal.ReadAll(&records).ok());
   EXPECT_TRUE(records.empty());
+}
+
+TEST(WalTest, ReadSinceStreamsOnlyTheSuffix) {
+  Wal wal;
+  constexpr int kRecords = 300;
+  for (int i = 1; i <= kRecords; ++i) {
+    wal.Append(MakeWs(static_cast<TxnId>(i), i));
+  }
+  for (DbVersion after : {DbVersion{0}, DbVersion{1}, DbVersion{63},
+                          DbVersion{64}, DbVersion{65}, DbVersion{200},
+                          DbVersion{299}, DbVersion{300}}) {
+    std::vector<DbVersion> got;
+    ASSERT_TRUE(wal.ReadSince(after, [&got](const WriteSet& ws) {
+                     got.push_back(ws.commit_version);
+                   }).ok());
+    ASSERT_EQ(got.size(), static_cast<size_t>(kRecords - after)) << after;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], after + 1 + static_cast<DbVersion>(i));
+    }
+  }
+}
+
+TEST(WalTest, SeekSkipsThePrefixViaTheSparseIndex) {
+  Wal wal;
+  std::vector<size_t> offsets;  // byte offset of each record
+  for (int i = 1; i <= 300; ++i) {
+    offsets.push_back(wal.DurableBytes());
+    wal.Append(MakeWs(static_cast<TxnId>(i), i));
+  }
+  EXPECT_EQ(wal.SeekOffset(0), 0u);
+  for (DbVersion after : {DbVersion{64}, DbVersion{100}, DbVersion{250}}) {
+    // The seek lands at most one index stride before the first record
+    // with a version above `after` (record i holds version i + 1).
+    const size_t first = static_cast<size_t>(after);
+    const size_t seek = wal.SeekOffset(after);
+    EXPECT_LE(seek, offsets[first]);
+    EXPECT_GE(seek, offsets[first - Wal::kIndexStride]);
+  }
 }
 
 }  // namespace

@@ -160,6 +160,10 @@ if [[ "$SANITIZE" == "1" ]]; then
   # their ownership story explicitly.
   ./build-asan/tests/overload_integration_test
 
+  echo "== memory-bound stage (address,undefined) =="
+  # The sweep frees writesets refresh batches and apply queues may share.
+  ./build-asan/tests/memory_bound_test
+
   echo "== sanitized build (thread) =="
   cmake -B build-tsan -S . -DSCREP_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j
@@ -173,9 +177,10 @@ if [[ "$SANITIZE" == "1" ]]; then
   # The genuinely multi-threaded paths: the Runtime conformance suite on
   # both backends and the full middleware over ThreadRuntime (Spawn
   # workers, Post ingress, completion-slot handoff, Stop drain) must be
-  # race-free under TSan.
+  # race-free under TSan (including the low-water-mark sweep).
   ./build-tsan/tests/runtime_conformance_test
   ./build-tsan/tests/thread_runtime_e2e_test
+  ./build-tsan/tests/memory_bound_test
 fi
 
 echo "== all checks passed =="

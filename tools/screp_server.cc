@@ -386,8 +386,7 @@ int Main(int argc, char** argv) {
   sys.seed = opt.seed;
   if (opt.audit) {
     sys.obs.audit = true;
-    sys.obs.event_log = true;
-    sys.obs.event_log_capacity = 1u << 21;
+    sys.obs.event_log = true;  // feeds the live auditor; never replayed
   }
 
   KvGridConfig grid;
