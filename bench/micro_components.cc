@@ -5,9 +5,10 @@
 // benches, not paper figures.
 //
 // `--bench-json[=path]` switches to a self-measured summary mode instead:
-// it times indexed vs. linear-scan certification across conflict-window
-// sizes and the apply-lane pipeline across lane counts, prints the
-// speedups, and writes them as JSON (default BENCH_certifier.json).
+// it times indexed certification vs. the linear-scan reference
+// (tests/linear_scan_oracle.h) across conflict-window sizes and the
+// apply-lane pipeline across lane counts, prints the speedups, and
+// writes them as JSON (default BENCH_certifier.json).
 //
 // `--net-json[=path]` measures the certifier->replica refresh fan-out
 // over real channels, batched vs unbatched, and writes the message/byte
@@ -22,10 +23,10 @@
 //
 // `--shard-sweep[=path]` measures partitioned certification: certified
 // throughput (in simulated time, so the numbers are deterministic) of a
-// shard-disjoint update stream at K = 1, 2, 4, 8 lanes — K = 1 is the
-// plain single-stream Certifier — plus an audited end-to-end run at
-// K = 4 with partial replication.  Writes BENCH_shards.json and fails
-// unless K = 4 reaches the scaling floor and the audit is clean.
+// shard-disjoint update stream at K = 1, 2, 4, 8 certifier lanes, plus
+// an audited end-to-end run at K = 4 with partial replication.  Writes
+// BENCH_shards.json and fails unless K = 4 reaches the scaling floor and
+// the audit is clean.
 
 #include <benchmark/benchmark.h>
 
@@ -39,7 +40,6 @@
 #include "net/channel.h"
 #include "replication/certifier.h"
 #include "replication/proxy.h"
-#include "replication/sharded_certifier.h"
 #include "workload/experiment.h"
 #include "workload/micro.h"
 #include "sim/simulator.h"
@@ -49,6 +49,7 @@
 #include "storage/database.h"
 #include "storage/transaction.h"
 #include "storage/wal.h"
+#include "tests/linear_scan_oracle.h"
 
 namespace screp {
 namespace {
@@ -220,7 +221,8 @@ void BM_CertifierThroughput(benchmark::State& state) {
     int decisions = 0;
     certifier.SetDecisionCallback(
         [&decisions](ReplicaId, const CertDecision&) { ++decisions; });
-    certifier.SetRefreshCallback([](ReplicaId, const RefreshBatch&) {});
+    certifier.SetRefreshCallback(
+        [](ShardId, ReplicaId, const RefreshBatch&) {});
     for (TxnId t = 1; t <= 500; ++t) {
       WriteSet ws;
       ws.txn_id = t;
@@ -237,24 +239,30 @@ void BM_CertifierThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_CertifierThroughput);
 
-// A certifier with its conflict window pre-filled with distinct-key
-// commits, fed probe writesets whose snapshots sit at the far edge of the
-// window — the linear-scan oracle must rescan the entire window per
-// decision while the indexed path does O(|writeset|) lookups.
+// A certifier (or the linear-scan reference) with its conflict window
+// pre-filled with distinct-key commits, fed probe writesets whose
+// snapshots sit at the far edge of the window — the linear scan must
+// rescan the entire window per decision while the indexed path does
+// O(|writeset|) lookups.
 class CertifierHarness {
  public:
   CertifierHarness(size_t window, bool linear_scan, int ws_size)
       : ws_size_(ws_size), window_(static_cast<DbVersion>(window)) {
     CertifierConfig config;
     config.conflict_window = window;
-    config.linear_scan_oracle = linear_scan;
-    certifier_ = std::make_unique<Certifier>(&rt_, config, 4,
-                                             /*eager=*/false);
-    certifier_->SetDecisionCallback([](ReplicaId, const CertDecision&) {});
-    certifier_->SetRefreshCallback([](ReplicaId, const RefreshBatch&) {});
-    for (size_t i = 0; i < window; ++i) Submit(certifier_->CommitVersion());
+    if (linear_scan) {
+      oracle_ = std::make_unique<LinearScanOracle>(config.mode, window);
+    } else {
+      certifier_ = std::make_unique<Certifier>(&rt_, config, 4,
+                                               /*eager=*/false);
+      certifier_->SetDecisionCallback([](ReplicaId, const CertDecision&) {});
+      certifier_->SetRefreshCallback(
+          [](ShardId, ReplicaId, const RefreshBatch&) {});
+    }
+    for (size_t i = 0; i < window; ++i) Submit(CommitVersion());
     sim_.RunAll();
-    SCREP_CHECK(certifier_->abort_count() == 0);
+    SCREP_CHECK((oracle_ ? oracle_->abort_count()
+                         : certifier_->abort_count()) == 0);
   }
 
   /// Submits and decides `count` non-conflicting probes.  Probe i is
@@ -262,15 +270,20 @@ class CertifierHarness {
   /// snapshot that escapes the conservative window abort, so the whole
   /// window is eligible for conflicts.
   void RunProbes(int count) {
-    const DbVersion v = certifier_->CommitVersion();
+    const DbVersion v = CommitVersion();
     for (int i = 0; i < count; ++i) {
       Submit(v - window_ + static_cast<DbVersion>(i));
     }
     sim_.RunAll();
-    SCREP_CHECK(certifier_->window_abort_count() == 0);
+    SCREP_CHECK((oracle_ ? oracle_->window_abort_count()
+                         : certifier_->window_abort_count()) == 0);
   }
 
  private:
+  DbVersion CommitVersion() const {
+    return oracle_ ? oracle_->CommitVersion() : certifier_->CommitVersion();
+  }
+
   void Submit(DbVersion snapshot) {
     WriteSet ws;
     ws.txn_id = next_txn_++;
@@ -279,12 +292,17 @@ class CertifierHarness {
     for (int i = 0; i < ws_size_; ++i) {
       ws.Add(0, next_key_++, WriteType::kUpdate, Row{Value(int64_t{1})});
     }
-    certifier_->SubmitCertification(std::move(ws));
+    if (oracle_) {
+      oracle_->Decide(ws);
+    } else {
+      certifier_->SubmitCertification(std::move(ws));
+    }
   }
 
   Simulator sim_;
   runtime::SimRuntime rt_{&sim_};
   std::unique_ptr<Certifier> certifier_;
+  std::unique_ptr<LinearScanOracle> oracle_;
   int ws_size_;
   DbVersion window_;
   TxnId next_txn_ = 1;
@@ -497,7 +515,7 @@ FanOutResult MeasureFanOut(bool batching, int replicas, int txns) {
     channels.push_back(std::move(ch));
   }
   certifier.SetRefreshCallback(
-      [&channels](ReplicaId target, const RefreshBatch& batch) {
+      [&channels](ShardId, ReplicaId target, const RefreshBatch& batch) {
         channels[static_cast<size_t>(target)]->Send(batch);
       });
   for (TxnId t = 1; t <= static_cast<TxnId>(txns); ++t) {
@@ -816,12 +834,10 @@ int RunHotpathJson(const std::string& path) {
 
 /// Certified throughput, in simulated time, of `txns` shard-disjoint
 /// single-table updates (round-robin over eight tables, all keys
-/// distinct) through a K-lane certification stream.  K = 1 runs the
-/// plain single-stream Certifier — the exact object a default
-/// configuration constructs — so the scaling is measured against the
-/// real baseline, not a one-lane ShardedCertifier.  Simulated time makes
-/// the sweep deterministic: the bottleneck is the per-lane certify CPU
-/// and WAL force stream, which is precisely what partitioning splits.
+/// distinct) through a K-lane certifier.  K = 1 is the single stream a
+/// default configuration runs.  Simulated time makes the sweep
+/// deterministic: the bottleneck is the per-lane certify CPU and WAL
+/// force stream, which is precisely what partitioning splits.
 double MeasureCertifiedTps(int lanes, int txns) {
   constexpr size_t kSweepTables = 8;
   Simulator sim;
@@ -833,33 +849,20 @@ double MeasureCertifiedTps(int lanes, int txns) {
     ++decisions;
     if (!d.commit) ++aborted;
   };
-  auto feed = [&](auto&& submit) {
-    for (TxnId t = 1; t <= static_cast<TxnId>(txns); ++t) {
-      WriteSet ws;
-      ws.txn_id = t;
-      ws.origin = static_cast<ReplicaId>(t % 4);
-      ws.snapshot_version = 0;
-      ws.Add(static_cast<TableId>(t % kSweepTables),
-             static_cast<int64_t>(t), WriteType::kUpdate,
-             Row{Value(static_cast<int64_t>(t))});
-      submit(std::move(ws));
-    }
-  };
-  if (lanes == 1) {
-    Certifier certifier(&rt, config, /*replica_count=*/4, /*eager=*/false);
-    certifier.SetDecisionCallback(on_decision);
-    certifier.SetRefreshCallback([](ReplicaId, const RefreshBatch&) {});
-    feed([&](WriteSet ws) { certifier.SubmitCertification(std::move(ws)); });
-    sim.RunAll();
-  } else {
-    ShardedCertifier certifier(&rt, config, ShardMap(kSweepTables, lanes),
-                               /*replica_count=*/4);
-    certifier.SetDecisionCallback(on_decision);
-    certifier.SetRefreshCallback(
-        [](ShardId, ReplicaId, const RefreshBatch&) {});
-    feed([&](WriteSet ws) { certifier.SubmitCertification(std::move(ws)); });
-    sim.RunAll();
+  Certifier certifier(&rt, config, /*replica_count=*/4, /*eager=*/false,
+                      ShardMap(kSweepTables, lanes));
+  certifier.SetDecisionCallback(on_decision);
+  certifier.SetRefreshCallback([](ShardId, ReplicaId, const RefreshBatch&) {});
+  for (TxnId t = 1; t <= static_cast<TxnId>(txns); ++t) {
+    WriteSet ws;
+    ws.txn_id = t;
+    ws.origin = static_cast<ReplicaId>(t % 4);
+    ws.snapshot_version = 0;
+    ws.Add(static_cast<TableId>(t % kSweepTables), static_cast<int64_t>(t),
+           WriteType::kUpdate, Row{Value(static_cast<int64_t>(t))});
+    certifier.SubmitCertification(std::move(ws));
   }
+  sim.RunAll();
   SCREP_CHECK(decisions == txns);
   SCREP_CHECK(aborted == 0);
   const double seconds = static_cast<double>(sim.Now()) / 1e6;

@@ -2,9 +2,10 @@
 
 namespace screp {
 
-void CommittedKeyIndex::Insert(const WriteSet& ws) {
-  const Hit hit{ws.commit_version, ws.txn_id};
+void CommittedKeyIndex::Insert(const WriteSet& ws, const Hit& hit,
+                               const ShardMap* map, ShardId shard) {
   for (const WriteOp& op : ws.ops) {
+    if (map != nullptr && map->ShardOf(op.table) != shard) continue;
     // Versions are assigned in submission order, so a plain overwrite
     // always leaves the newest version behind.
     latest_[TableKey{op.table, op.key}] = hit;
@@ -12,10 +13,12 @@ void CommittedKeyIndex::Insert(const WriteSet& ws) {
   }
 }
 
-void CommittedKeyIndex::Erase(const WriteSet& ws) {
+void CommittedKeyIndex::Erase(const WriteSet& ws, DbVersion version,
+                              const ShardMap* map, ShardId shard) {
   for (const WriteOp& op : ws.ops) {
+    if (map != nullptr && map->ShardOf(op.table) != shard) continue;
     auto it = latest_.find(TableKey{op.table, op.key});
-    if (it == latest_.end() || it->second.version != ws.commit_version) {
+    if (it == latest_.end() || it->second.version != version) {
       continue;  // a later writeset overwrote this key; keep it indexed
     }
     latest_.erase(it);

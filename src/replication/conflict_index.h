@@ -36,6 +36,7 @@
 #include <unordered_set>
 
 #include "common/types.h"
+#include "replication/shard_map.h"
 #include "storage/write_set.h"
 
 namespace screp {
@@ -65,10 +66,12 @@ struct TableKeyHash {
 class CommittedKeyIndex {
  public:
   /// A conflicting committed write: the version and the transaction that
-  /// produced it.
+  /// produced it, plus the certifier's decide sequence number, which
+  /// orders hits from indexes with incomparable version spaces.
   struct Hit {
     DbVersion version = kNoVersion;
     TxnId txn = 0;
+    int64_t seq = 0;
   };
 
   /// `track_ranges` additionally maintains the per-table ordered key maps
@@ -77,13 +80,17 @@ class CommittedKeyIndex {
   explicit CommittedKeyIndex(bool track_ranges)
       : track_ranges_(track_ranges) {}
 
-  /// Indexes a committed writeset (`ws.commit_version` assigned).
-  void Insert(const WriteSet& ws);
+  /// Indexes a committed writeset's writes as `hit`.  With a `map`, only
+  /// the writes to tables of `shard` (one certifier lane's index).
+  void Insert(const WriteSet& ws, const Hit& hit,
+              const ShardMap* map = nullptr, ShardId shard = 0);
 
-  /// Un-indexes a writeset falling out of the conflict window.  An entry
-  /// is only removed when it still points at this writeset's version — a
+  /// Un-indexes a writeset falling out of the conflict window, where it
+  /// was inserted at `version` (same `map`/`shard` restriction).  An
+  /// entry is only removed when it still points at that version — a
   /// later write to the same key keeps the key indexed.
-  void Erase(const WriteSet& ws);
+  void Erase(const WriteSet& ws, DbVersion version,
+             const ShardMap* map = nullptr, ShardId shard = 0);
 
   /// The newest committed write after `snapshot` to any key `ws` writes;
   /// false when none (the writeset certifies under first-committer-wins).

@@ -91,6 +91,18 @@ DbVersion Proxy::OldestActiveSnapshot() const {
   return oldest;
 }
 
+DbVersion Proxy::OldestShardSnapshot(ShardId shard) const {
+  DbVersion oldest = ShardPublished(shard);
+  for (const auto& [txn_id, t] : active_) {
+    (void)txn_id;
+    if (t->txn != nullptr) {
+      oldest = std::min(oldest, ShardVersionOf(t->shard_snapshots, shard,
+                                               oldest));
+    }
+  }
+  return oldest;
+}
+
 void Proxy::Crash() {
   down_ = true;
   ++epoch_;  // invalidates every in-flight completion callback
@@ -426,12 +438,24 @@ void Proxy::OnCertDecision(const CertDecision& decision) {
     return;
   }
   if (sharded()) {
-    // Queue the local commit into its hosted apply streams at the joint
-    // per-shard versions the certifier assigned; publishing it finishes
-    // the transaction (no failover/refresh duplicate channels exist in
-    // sharded configurations).
     t->writeset.commit_version = decision.commit_version;
     t->writeset.shard_versions = decision.shard_versions;
+    // After a certifier failover the catch-up stream may have delivered
+    // this commit before its decision: whichever copy publishes finishes
+    // the transaction.
+    if (auto pending = sharded_pending_.find(decision.txn_id);
+        pending != sharded_pending_.end()) {
+      pending->second.claimed = true;
+      return;
+    }
+    const auto& [shard, version] = decision.shard_versions.front();
+    if (HostsShard(shard) && ShardPublished(shard) >= version) {
+      FinishLocalCommit(t);
+      return;
+    }
+    // Queue the local commit into its hosted apply streams at the joint
+    // per-shard versions the certifier assigned; publishing it finishes
+    // the transaction.
     ShardedApply apply;
     apply.ws = std::make_shared<const WriteSet>(t->writeset);
     apply.is_local = true;
@@ -472,7 +496,13 @@ void Proxy::OnRefresh(const WriteSet& ws) {
   // Catch-up path: the sender hands us a plain writeset, so freeze a
   // private copy here.  The live fan-out path (OnRefreshBatch) shares the
   // certifier's frozen objects instead.
-  IngestRefresh(std::make_shared<const WriteSet>(ws), /*credited=*/false);
+  auto frozen = std::make_shared<const WriteSet>(ws);
+  if (sharded()) {
+    IngestShardedRefresh(std::move(frozen), /*credit_shard=*/-1,
+                         /*credited=*/false);
+  } else {
+    IngestRefresh(std::move(frozen), /*credited=*/false);
+  }
 }
 
 bool Proxy::IngestRefresh(WriteSetRef ws, bool credited) {
@@ -682,6 +712,9 @@ void Proxy::FinishShardedApply(TxnId txn) {
       t->stages.commit = t->local_commit_time - t->apply_start_time;
       Respond(t, TxnOutcome::kCommitted);
     }
+  } else if (apply.claimed) {
+    auto ait = active_.find(txn);
+    if (ait != active_.end()) FinishLocalCommit(ait->second.get());
   }
   ReleaseShardedBeginWaiters();
   DispatchShardedApplies();

@@ -183,8 +183,9 @@ class Proxy {
   /// The certifier's decision for a local update transaction.
   void OnCertDecision(const CertDecision& decision);
 
-  /// A refresh writeset outside the credited channel (the recovery
-  /// catch-up stream): never consumes or returns credits.
+  /// A refresh writeset outside the credited channel (the recovery and
+  /// failover catch-up streams): never consumes or returns credits.  In
+  /// sharded mode it enters every touched hosted stream.
   void OnRefresh(const WriteSet& ws);
 
   /// A refresh message from the certifier: one or more writesets (one
@@ -261,6 +262,10 @@ class Proxy {
   /// The oldest snapshot any active transaction reads at (V_local when
   /// idle) — the MVCC garbage-collection horizon.
   DbVersion OldestActiveSnapshot() const;
+  /// Sharded mode: the oldest snapshot any active transaction reads at in
+  /// hosted `shard`'s version space (its published version when idle) —
+  /// that certifier lane's pruning horizon at this replica.
+  DbVersion OldestShardSnapshot(ShardId shard) const;
 
  private:
   /// A client transaction in flight at this replica.
@@ -342,6 +347,10 @@ class Proxy {
     /// locally (aliases `ws` when every touched shard is hosted).
     WriteSetRef hosted_sub;
     bool is_local = false;
+    /// A refresh copy of a local transaction's own commit (delivered by
+    /// the failover catch-up before its decision): publishing it
+    /// finishes that transaction.
+    bool claimed = false;
     bool credited = false;
     ShardId credit_shard = -1;
     TimePoint enqueue_time = 0;

@@ -28,7 +28,7 @@ namespace screp {
 /// Dense shard identifier in [0, shard_count).
 using ShardId = int32_t;
 
-/// Immutable table -> shard assignment shared by the sharded certifier,
+/// Immutable table -> shard assignment shared by the certifier's lanes,
 /// the proxies, the load balancer and the auditor.
 class ShardMap {
  public:

@@ -25,9 +25,9 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
     return Status::InvalidArgument("certifier.shard_lanes must be >= 1");
   }
   if (shard_lanes > 1) {
-    // K > 1 swaps in the ShardedCertifier; combinations whose semantics
-    // assume a single dense version stream are refused outright rather
-    // than silently misbehaving.
+    // The proxies' and the load balancer's per-shard paths assume lazy
+    // version tags: combinations built on one dense version stream are
+    // refused outright rather than silently misbehaving.
     if (eager) {
       return Status::NotSupported(
           "partitioned certification with the eager configuration");
@@ -36,19 +36,11 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
       return Status::NotSupported(
           "partitioned certification with bounded staleness");
     }
-    if (config.standby_certifier) {
-      return Status::NotSupported(
-          "partitioned certification with a standby certifier");
-    }
-    if (config.certifier.refresh_batching) {
-      return Status::NotSupported(
-          "partitioned certification with refresh batching");
-    }
-    for (size_t r = 0; r < config.hosted_shards.size(); ++r) {
-      for (ShardId s : config.hosted_shards[r]) {
-        if (s < 0 || s >= shard_lanes) {
-          return Status::InvalidArgument("hosted shard out of range");
-        }
+  }
+  for (const std::vector<ShardId>& hosted : config.hosted_shards) {
+    for (ShardId s : hosted) {
+      if (s < 0 || s >= shard_lanes) {
+        return Status::InvalidArgument("hosted shard out of range");
       }
     }
   }
@@ -98,16 +90,18 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
     id_sets[type] = std::move(ids);
   }
 
-  if (shard_lanes > 1) {
-    if (!config.table_to_shard.empty() &&
-        config.table_to_shard.size() != db0->TableCount()) {
+  if (shard_lanes > 1 && !config.table_to_shard.empty()) {
+    if (config.table_to_shard.size() != db0->TableCount()) {
       return Status::InvalidArgument(
           "table_to_shard must assign every table");
     }
     system->shard_map_ =
-        config.table_to_shard.empty()
-            ? std::make_unique<ShardMap>(db0->TableCount(), shard_lanes)
-            : std::make_unique<ShardMap>(config.table_to_shard, shard_lanes);
+        std::make_unique<ShardMap>(config.table_to_shard, shard_lanes);
+  } else {
+    system->shard_map_ =
+        std::make_unique<ShardMap>(db0->TableCount(), shard_lanes);
+  }
+  if (shard_lanes > 1) {
     // Every shard needs at least one hosting replica or its stream has
     // no apply site at all.
     if (!config.hosted_shards.empty()) {
@@ -132,9 +126,6 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
         if (!c) return Status::InvalidArgument("unhosted shard");
       }
     }
-    system->sharded_certifier_ = std::make_unique<ShardedCertifier>(
-        rt, config.certifier, *system->shard_map_, config.replica_count);
-    system->sharded_certifier_->SetHostedShards(config.hosted_shards);
     for (ReplicaId r = 0; r < config.replica_count; ++r) {
       std::vector<ShardId> hosted =
           static_cast<size_t>(r) < config.hosted_shards.size()
@@ -143,17 +134,19 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
       system->replicas_[static_cast<size_t>(r)]->proxy()->EnableSharding(
           system->shard_map_.get(), std::move(hosted));
     }
-  } else {
-    system->certifier_ = std::make_unique<Certifier>(
-        rt, config.certifier, config.replica_count, eager);
   }
+  system->certifier_ = std::make_unique<Certifier>(
+      rt, config.certifier, config.replica_count, eager, *system->shard_map_);
+  system->certifier_->SetHostedShards(config.hosted_shards);
   if (config.standby_certifier) {
     if (eager) {
       return Status::NotSupported(
           "standby certifier with the eager configuration");
     }
     system->standby_certifier_ = std::make_unique<Certifier>(
-        rt, config.certifier, config.replica_count, /*eager=*/false);
+        rt, config.certifier, config.replica_count, /*eager=*/false,
+        *system->shard_map_);
+    system->standby_certifier_->SetHostedShards(config.hosted_shards);
     // A standby runs muted: it processes the identical certification
     // stream but its announcement paths never fire, so it needs no
     // channels until promotion.
@@ -164,7 +157,7 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
       rt, config.level, db0->TableCount(), config.replica_count,
       config.routing, config.staleness_bound, config.admission);
   system->load_balancer_->SetTableSets(system->table_sets_);
-  if (system->sharded_certifier_ != nullptr) {
+  if (shard_lanes > 1) {
     system->load_balancer_->EnableSharding(system->shard_map_.get(),
                                            config.hosted_shards);
   }
@@ -174,12 +167,13 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
   system->obs_->ConfigureAuditor(
       ProvidesStrongConsistency(config.level),
       config.level != ConsistencyLevel::kBoundedStaleness);
-  if (system->sharded_certifier_ != nullptr) {
-    std::vector<int32_t> table_to_shard(
-        system->shard_map_->table_to_shard().begin(),
-        system->shard_map_->table_to_shard().end());
-    system->obs_->auditor()->EnableSharding(std::move(table_to_shard),
-                                            shard_lanes);
+  // The auditor exists only when auditing is on.
+  if (obs::Auditor* auditor = system->obs_->auditor();
+      auditor != nullptr && shard_lanes > 1) {
+    auditor->EnableSharding(
+        std::vector<int32_t>(system->shard_map_->table_to_shard().begin(),
+                             system->shard_map_->table_to_shard().end()),
+        shard_lanes);
   }
   system->obs_->ConfigureHealth(config.replica_count);
   system->RegisterGauges();
@@ -190,51 +184,42 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
 void ReplicatedSystem::RegisterGauges() {
   obs::MetricsRegistry* registry = obs_->registry();
   // All callbacks read through `this` so certifier/load-balancer failovers
-  // transparently switch the gauges to the promoted instance.
-  if (sharded_certifier_ != nullptr) {
-    // One gauge set per lane: the whole point of sharding is that lane
-    // load is independent, so a single aggregate would hide exactly the
-    // imbalance these exist to expose.
-    for (ShardId s = 0; s < sharded_certifier_->shard_count(); ++s) {
-      const std::string prefix =
-          "certifier.lane" + std::to_string(s) + ".";
-      registry->RegisterCallbackGauge(prefix + "queue_depth", [this, s]() {
-        return static_cast<double>(
-            sharded_certifier_->lane_cpu(s)->QueueLength());
-      });
-      registry->RegisterCallbackGauge(prefix + "force_pending", [this, s]() {
-        return static_cast<double>(
-            sharded_certifier_->lane_force_pending(s));
-      });
-      registry->RegisterCallbackGauge(prefix + "disk_util", [this, s]() {
-        return sharded_certifier_->lane_disk(s)->Utilization();
-      });
-      registry->RegisterCallbackGauge(prefix + "commit_version", [this, s]() {
-        return static_cast<double>(
-            sharded_certifier_->LaneCommitVersion(s));
-      });
-    }
-  } else {
-    registry->RegisterCallbackGauge("certifier.queue_depth", [this]() {
-      return static_cast<double>(certifier_->cpu()->QueueLength());
+  // transparently switch the gauges to the promoted instance.  One gauge
+  // set per certifier lane ("certifier." at K = 1, "certifier.laneS." at
+  // K > 1): lane load is independent, so an aggregate would hide exactly
+  // the imbalance these exist to expose.
+  const int lanes = certifier_->lane_count();
+  for (ShardId s = 0; s < lanes; ++s) {
+    const std::string prefix =
+        lanes == 1 ? std::string("certifier.")
+                   : "certifier.lane" + std::to_string(s) + ".";
+    registry->RegisterCallbackGauge(prefix + "queue_depth", [this, s]() {
+      return static_cast<double>(certifier_->cpu(s)->QueueLength());
     });
-    registry->RegisterCallbackGauge("certifier.force_pending", [this]() {
-      return static_cast<double>(certifier_->force_batch_pending());
+    registry->RegisterCallbackGauge(prefix + "force_pending", [this, s]() {
+      return static_cast<double>(certifier_->force_batch_pending(s));
     });
-    registry->RegisterCallbackGauge("certifier.disk_util", [this]() {
-      return certifier_->disk()->Utilization();
+    registry->RegisterCallbackGauge(prefix + "disk_util", [this, s]() {
+      return certifier_->disk(s)->Utilization();
     });
     // Retention (the log stays append-only until checkpointing).
-    registry->RegisterCallbackGauge("certifier.retained_writesets", [this]() {
-      return static_cast<double>(certifier_->retained_writesets());
+    registry->RegisterCallbackGauge(prefix + "retained_writesets",
+                                    [this, s]() {
+      return static_cast<double>(certifier_->retained_writesets(s));
     });
-    registry->RegisterCallbackGauge("certifier.decided", [this]() {
-      return static_cast<double>(certifier_->decided_size());
+    registry->RegisterCallbackGauge(prefix + "wal_bytes", [this, s]() {
+      return static_cast<double>(certifier_->wal(s).DurableBytes());
     });
-    registry->RegisterCallbackGauge("certifier.wal_bytes", [this]() {
-      return static_cast<double>(certifier_->wal().DurableBytes());
-    });
+    // At K = 1 version_lag already reads the one commit version.
+    if (lanes > 1) {
+      registry->RegisterCallbackGauge(prefix + "commit_version", [this, s]() {
+        return static_cast<double>(certifier_->CommitVersion(s));
+      });
+    }
   }
+  registry->RegisterCallbackGauge("certifier.decided", [this]() {
+    return static_cast<double>(certifier_->decided_size());
+  });
   registry->RegisterCallbackGauge("lb.outstanding", [this]() {
     int total = 0;
     for (ReplicaId r = 0; r < config_.replica_count; ++r) {
@@ -251,37 +236,25 @@ void ReplicatedSystem::RegisterGauges() {
   }
   if (config_.certifier.refresh_credit_window > 0) {
     registry->RegisterCallbackGauge("certifier.deferred_refresh", [this]() {
-      return static_cast<double>(
-          sharded_certifier_ != nullptr
-              ? sharded_certifier_->deferred_refresh_total()
-              : certifier_->deferred_refresh_total());
+      return static_cast<double>(certifier_->deferred_refresh_total());
     });
   }
   for (ReplicaId r = 0; r < config_.replica_count; ++r) {
     const std::string prefix = "replica" + std::to_string(r) + ".";
     Proxy* proxy = replicas_[static_cast<size_t>(r)]->proxy();
-    if (sharded_certifier_ != nullptr) {
-      // Lag of the replica's most-behind hosted stream.
-      registry->RegisterCallbackGauge(prefix + "version_lag",
-                                      [this, proxy]() {
-        DbVersion lag = 0;
-        for (ShardId s : proxy->hosted_shards()) {
-          const DbVersion certified =
-              sharded_certifier_->LaneCommitVersion(s);
-          const DbVersion published = proxy->ShardPublished(s);
-          if (certified > published) {
-            lag = std::max(lag, certified - published);
-          }
-        }
-        return static_cast<double>(lag);
-      });
-    } else {
-      registry->RegisterCallbackGauge(prefix + "version_lag",
-                                      [this, proxy]() {
+    // Lag of the replica's most-behind hosted lane stream.
+    registry->RegisterCallbackGauge(prefix + "version_lag", [this, proxy]() {
+      if (!proxy->sharded()) {
         return static_cast<double>(certifier_->CommitVersion() -
                                    proxy->v_local());
-      });
-    }
+      }
+      DbVersion lag = 0;
+      for (ShardId s : proxy->hosted_shards()) {
+        lag = std::max(lag,
+                       certifier_->CommitVersion(s) - proxy->ShardPublished(s));
+      }
+      return static_cast<double>(lag);
+    });
     registry->RegisterCallbackGauge(prefix + "refresh_queue", [proxy]() {
       return static_cast<double>(proxy->pending_writesets());
     });
@@ -305,16 +278,14 @@ void ReplicatedSystem::RegisterGauges() {
       return static_cast<double>(db->VersionCount());
     });
     if (config_.certifier.refresh_credit_window > 0) {
-      registry->RegisterCallbackGauge(prefix + "refresh_credits",
-                                      [this, proxy, r]() {
-        if (sharded_certifier_ != nullptr) {
-          int64_t total = 0;
-          for (ShardId s : proxy->hosted_shards()) {
-            total += sharded_certifier_->refresh_credits(s, r);
+      registry->RegisterCallbackGauge(prefix + "refresh_credits", [this, r]() {
+        int64_t total = 0;
+        for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
+          if (ReplicaHostsShard(r, s)) {
+            total += certifier_->refresh_credits(s, r);
           }
-          return static_cast<double>(total);
         }
-        return static_cast<double>(certifier_->refresh_credits(r));
+        return static_cast<double>(total);
       });
     }
   }
@@ -335,6 +306,7 @@ void ReplicatedSystem::BuildChannels() {
         "replica" + std::to_string(r)));
   }
   partitioned_.assign(static_cast<size_t>(config_.replica_count), false);
+  const int lanes = certifier_->lane_count();
 
   // Handlers read the component pointers through `this`, so a promoted
   // LB or certifier keeps receiving over the same channels, and messages
@@ -390,11 +362,7 @@ void ReplicatedSystem::BuildChannels() {
     cert_request->SetSizeFn(
         [](const WriteSet& ws) { return ws.SerializedBytes(); });
     cert_request->SetHandler([this](const WriteSet& ws) {
-      if (sharded_certifier_ != nullptr) {
-        sharded_certifier_->SubmitCertification(ws);
-      } else {
-        certifier_->SubmitCertification(ws);
-      }
+      certifier_->SubmitCertification(ws);
     });
     cert_request->AttachMetrics(registry);
     ch_cert_request_.push_back(std::move(cert_request));
@@ -421,16 +389,28 @@ void ReplicatedSystem::BuildChannels() {
     decision->AttachMetrics(registry);
     ch_decision_.push_back(std::move(decision));
 
-    auto refresh = std::make_unique<net::Channel<RefreshBatch>>(
-        rt_, "refresh" + tag, net.refresh, seeder.Next());
-    refresh->SetDestination(replica_ep);
-    refresh->SetSizeFn(
-        [](const RefreshBatch& batch) { return batch.SerializedBytes(); });
-    refresh->SetHandler([this, r](const RefreshBatch& batch) {
-      replicas_[static_cast<size_t>(r)]->proxy()->OnRefreshBatch(batch);
-    });
-    refresh->AttachMetrics(registry);
-    ch_refresh_.push_back(std::move(refresh));
+    // One refresh stream per hosted certifier lane: partial replication
+    // means a non-hosting replica never sees the lane's traffic at all.
+    auto& refresh_streams =
+        ch_refresh_.emplace_back(static_cast<size_t>(lanes));
+    for (ShardId s = 0; s < lanes; ++s) {
+      if (!ReplicaHostsShard(r, s)) continue;
+      auto refresh = std::make_unique<net::Channel<RefreshBatch>>(
+          rt_, "refresh" + LaneTag(s, r), net.refresh, seeder.Next());
+      refresh->SetDestination(replica_ep);
+      refresh->SetSizeFn(
+          [](const RefreshBatch& batch) { return batch.SerializedBytes(); });
+      refresh->SetHandler([this, r, s](const RefreshBatch& batch) {
+        Proxy* proxy = replicas_[static_cast<size_t>(r)]->proxy();
+        if (proxy->sharded()) {
+          proxy->OnShardedRefreshBatch(s, batch);
+        } else {
+          proxy->OnRefreshBatch(batch);
+        }
+      });
+      refresh->AttachMetrics(registry);
+      refresh_streams[static_cast<size_t>(s)] = std::move(refresh);
+    }
 
     auto global_commit = std::make_unique<net::Channel<TxnId>>(
         rt_, "global_commit" + tag, net.replica_certifier, seeder.Next());
@@ -458,67 +438,24 @@ void ReplicatedSystem::BuildChannels() {
   });
   ch_forward_->AttachMetrics(registry);
 
-  // Replica -> certifier refresh-credit returns (flow control).  Built
-  // in its own loop AFTER every pre-existing channel: each construction
-  // consumes one fork of the network seeder, so appending here keeps the
-  // per-channel RNG streams — and thus every default-config run —
-  // identical to before flow control existed.
+  // Replica -> certifier refresh-credit returns (flow control), one per
+  // hosted lane.  Built in its own loop AFTER every pre-existing channel:
+  // each construction consumes one fork of the network seeder, so
+  // appending here keeps the per-channel RNG streams — and thus every
+  // default-config run — identical to before flow control existed.
   for (ReplicaId r = 0; r < config_.replica_count; ++r) {
-    auto credit = std::make_unique<net::Channel<int>>(
-        rt_, "credit.r" + std::to_string(r), net.replica_certifier,
-        seeder.Next());
-    credit->SetDestination(certifier_endpoint_.get());
-    credit->SetHandler([this, r](const int& credits) {
-      certifier_->OnCreditReturned(r, credits);
-    });
-    credit->AttachMetrics(registry);
-    ch_credit_.push_back(std::move(credit));
-  }
-
-  // Per-(shard, replica) refresh streams and credit returns — only in
-  // sharded mode, so K = 1 builds exactly the channel set (and consumes
-  // exactly the seeder forks) it always did.  One channel per stream a
-  // replica actually hosts: partial replication means a non-hosting
-  // replica never sees the shard's traffic at all.
-  if (sharded_certifier_ != nullptr) {
-    const int shard_count = sharded_certifier_->shard_count();
-    ch_shard_refresh_.resize(static_cast<size_t>(config_.replica_count));
-    ch_shard_credit_.resize(static_cast<size_t>(config_.replica_count));
-    for (ReplicaId r = 0; r < config_.replica_count; ++r) {
-      ch_shard_refresh_[static_cast<size_t>(r)].resize(
-          static_cast<size_t>(shard_count));
-      ch_shard_credit_[static_cast<size_t>(r)].resize(
-          static_cast<size_t>(shard_count));
-      net::Endpoint* replica_ep =
-          replica_endpoints_[static_cast<size_t>(r)].get();
-      for (ShardId s = 0; s < shard_count; ++s) {
-        if (!ReplicaHostsShard(r, s)) continue;
-        const std::string tag =
-            ".s" + std::to_string(s) + ".r" + std::to_string(r);
-        auto refresh = std::make_unique<net::Channel<RefreshBatch>>(
-            rt_, "refresh" + tag, net.refresh, seeder.Next());
-        refresh->SetDestination(replica_ep);
-        refresh->SetSizeFn([](const RefreshBatch& batch) {
-          return batch.SerializedBytes();
-        });
-        refresh->SetHandler([this, r, s](const RefreshBatch& batch) {
-          replicas_[static_cast<size_t>(r)]->proxy()->OnShardedRefreshBatch(
-              s, batch);
-        });
-        refresh->AttachMetrics(registry);
-        ch_shard_refresh_[static_cast<size_t>(r)][static_cast<size_t>(s)] =
-            std::move(refresh);
-
-        auto credit = std::make_unique<net::Channel<int>>(
-            rt_, "credit" + tag, net.replica_certifier, seeder.Next());
-        credit->SetDestination(certifier_endpoint_.get());
-        credit->SetHandler([this, r, s](const int& credits) {
-          sharded_certifier_->OnCreditReturned(s, r, credits);
-        });
-        credit->AttachMetrics(registry);
-        ch_shard_credit_[static_cast<size_t>(r)][static_cast<size_t>(s)] =
-            std::move(credit);
-      }
+    auto& credit_streams = ch_credit_.emplace_back(static_cast<size_t>(lanes));
+    for (ShardId s = 0; s < lanes; ++s) {
+      if (!ReplicaHostsShard(r, s)) continue;
+      auto credit = std::make_unique<net::Channel<int>>(
+          rt_, "credit" + LaneTag(s, r), net.replica_certifier,
+          seeder.Next());
+      credit->SetDestination(certifier_endpoint_.get());
+      credit->SetHandler([this, r, s](const int& credits) {
+        certifier_->OnCreditReturned(s, r, credits);
+      });
+      credit->AttachMetrics(registry);
+      credit_streams[static_cast<size_t>(s)] = std::move(credit);
     }
   }
 
@@ -619,19 +556,15 @@ void ReplicatedSystem::Wire() {
     });
     // Refresh flow control: only wired when the certifier runs with a
     // credit window — an unset callback keeps the proxy's refresh path
-    // exactly as before.
+    // exactly as before.  A single-stream proxy returns lane 0's credits.
     if (config_.certifier.refresh_credit_window > 0) {
-      if (sharded_certifier_ != nullptr) {
-        proxy->SetShardedCreditCallback([this, r](ShardId shard,
-                                                  int credits) {
-          ch_shard_credit_[static_cast<size_t>(r)]
-                          [static_cast<size_t>(shard)]->Send(credits);
-        });
-      } else {
-        proxy->SetCreditCallback([this, r](int credits) {
-          ch_credit_[static_cast<size_t>(r)]->Send(credits);
-        });
-      }
+      auto send_credit = [this, r](ShardId lane, int credits) {
+        ch_credit_[static_cast<size_t>(r)][static_cast<size_t>(lane)]->Send(
+            credits);
+      };
+      proxy->SetCreditCallback(
+          [send_credit](int credits) { send_credit(0, credits); });
+      proxy->SetShardedCreditCallback(send_credit);
     }
   }
 
@@ -674,7 +607,7 @@ void ReplicatedSystem::EmitFaultEvent(obs::EventKind kind,
 }
 
 void ReplicatedSystem::CrashLoadBalancer() {
-  SCREP_CHECK_MSG(sharded_certifier_ == nullptr,
+  SCREP_CHECK_MSG(!sharded(),
                   "LB failover unsupported with partitioned certification");
   ++lb_failovers_;
   EmitFaultEvent(obs::EventKind::kFailover, "lb", kNoReplica);
@@ -702,19 +635,6 @@ void ReplicatedSystem::CrashLoadBalancer() {
 }
 
 void ReplicatedSystem::WireCertifier() {
-  if (sharded_certifier_ != nullptr) {
-    sharded_certifier_->SetObservability(obs_.get());
-    sharded_certifier_->SetDecisionCallback(
-        [this](ReplicaId origin, const CertDecision& decision) {
-          ch_decision_[static_cast<size_t>(origin)]->Send(decision);
-        });
-    sharded_certifier_->SetRefreshCallback(
-        [this](ShardId shard, ReplicaId target, const RefreshBatch& batch) {
-          ch_shard_refresh_[static_cast<size_t>(target)]
-                           [static_cast<size_t>(shard)]->Send(batch);
-        });
-    return;
-  }
   // Only the active certifier reports: a standby processes the identical
   // stream and would double-count. On promotion the same counter names
   // continue their predecessor's totals.
@@ -725,8 +645,8 @@ void ReplicatedSystem::WireCertifier() {
         ch_decision_[static_cast<size_t>(origin)]->Send(decision);
       });
   certifier_->SetRefreshCallback(
-      [this](ReplicaId target, const RefreshBatch& batch) {
-        ch_refresh_[static_cast<size_t>(target)]->Send(batch);
+      [this](ShardId lane, ReplicaId target, const RefreshBatch& batch) {
+        refresh_channel(target, lane)->Send(batch);
       });
   certifier_->SetGlobalCommitCallback([this](ReplicaId origin, TxnId txn) {
     ch_global_commit_[static_cast<size_t>(origin)]->Send(txn);
@@ -761,26 +681,30 @@ void ReplicatedSystem::CrashCertifier() {
   certifier_->SetMuted(false);
   WireCertifier();
   // Replicas may have missed refreshes announced by the dead primary and
-  // decisions for in-flight transactions: catch up and resubmit, one
-  // failover round trip later.
+  // decisions for in-flight transactions: catch up lane by lane and
+  // resubmit, one failover round trip later.
   for (ReplicaId r = 0; r < static_cast<ReplicaId>(replicas_.size()); ++r) {
     Proxy* proxy = replicas_[static_cast<size_t>(r)]->proxy();
     if (proxy->down()) continue;
     rt_->Schedule(config_.network.replica_certifier.RoundTrip(),
-                   [this, proxy]() {
+                   [this, r, proxy]() {
       if (proxy->down()) return;
-      const Status st = certifier_->FetchSince(
-          proxy->v_local(), [proxy](const WriteSet& ws) {
-            proxy->OnRefresh(ws);
-          });
-      SCREP_CHECK_MSG(st.ok(), "failover catch-up failed: " << st.ToString());
+      for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
+        if (!ReplicaHostsShard(r, s)) continue;
+        const DbVersion from =
+            proxy->sharded() ? proxy->ShardPublished(s) : proxy->v_local();
+        const Status st = certifier_->FetchSince(
+            s, from, [proxy](const WriteSet& ws) { proxy->OnRefresh(ws); });
+        SCREP_CHECK_MSG(st.ok(),
+                        "failover catch-up failed: " << st.ToString());
+      }
       proxy->ResubmitPendingCertifications();
     });
   }
 }
 
 void ReplicatedSystem::CrashReplica(ReplicaId replica) {
-  SCREP_CHECK_MSG(sharded_certifier_ == nullptr,
+  SCREP_CHECK_MSG(!sharded(),
                   "replica crash unsupported with partitioned certification");
   Proxy* proxy = replicas_[static_cast<size_t>(replica)]->proxy();
   SCREP_CHECK_MSG(!proxy->down(), "replica already down");
@@ -811,7 +735,7 @@ void ReplicatedSystem::RecoverReplica(ReplicaId replica) {
   // a retransmission that gave up while the endpoint was closed must not
   // leave a gap stalling post-recovery traffic (catch-up re-delivers
   // everything missed).
-  ch_refresh_[static_cast<size_t>(replica)]->Reset();
+  refresh_channel(replica)->Reset();
   // Resume the refresh flow first so nothing is missed between the catch-
   // up snapshot and new commits, then stream the missed writesets from
   // the certifier's durable log (one catch-up round trip).
@@ -823,7 +747,7 @@ void ReplicatedSystem::RecoverReplica(ReplicaId replica) {
     if (p->down()) return;  // crashed again before catch-up started
     const DbVersion target = certifier_->CommitVersion();
     const Status st = certifier_->FetchSince(
-        from, [p](const WriteSet& ws) { p->OnRefresh(ws); });
+        0, from, [p](const WriteSet& ws) { p->OnRefresh(ws); });
     SCREP_CHECK_MSG(st.ok(), "catch-up fetch failed: " << st.ToString());
     // The replica rejoins the routing rotation only once it is current:
     // under the eager scheme nothing else would stop a freshly recovered
@@ -840,6 +764,7 @@ bool ReplicatedSystem::IsReplicaDown(ReplicaId replica) const {
 
 bool ReplicatedSystem::ReplicaHostsShard(ReplicaId replica,
                                          ShardId shard) const {
+  if (!sharded()) return true;
   const auto& hosted = config_.hosted_shards;
   if (static_cast<size_t>(replica) >= hosted.size()) return true;
   const auto& set = hosted[static_cast<size_t>(replica)];
@@ -855,13 +780,15 @@ void ReplicatedSystem::SetReplicaLinksPartitioned(ReplicaId replica,
   ch_cert_request_[r]->SetPartitioned(partitioned);
   ch_commit_notice_[r]->SetPartitioned(partitioned);
   ch_decision_[r]->SetPartitioned(partitioned);
-  ch_refresh_[r]->SetPartitioned(partitioned);
   ch_global_commit_[r]->SetPartitioned(partitioned);
-  ch_credit_[r]->SetPartitioned(partitioned);
+  for (size_t s = 0; s < ch_refresh_[r].size(); ++s) {
+    if (ch_refresh_[r][s]) ch_refresh_[r][s]->SetPartitioned(partitioned);
+    if (ch_credit_[r][s]) ch_credit_[r][s]->SetPartitioned(partitioned);
+  }
 }
 
 void ReplicatedSystem::PartitionReplica(ReplicaId replica) {
-  SCREP_CHECK_MSG(sharded_certifier_ == nullptr,
+  SCREP_CHECK_MSG(!sharded(),
                   "partition faults unsupported with partitioned "
                   "certification");
   Proxy* proxy = replicas_[static_cast<size_t>(replica)]->proxy();
@@ -894,7 +821,7 @@ void ReplicatedSystem::HealReplicaPartition(ReplicaId replica) {
   // Sends dropped at the cut (and retransmissions that gave up) left
   // sequence gaps on the refresh channel; the catch-up stream below
   // re-delivers that range, so the channel restarts clean.
-  ch_refresh_[static_cast<size_t>(replica)]->Reset();
+  refresh_channel(replica)->Reset();
   certifier_->MarkReplicaUp(replica);
   const DbVersion from = proxy->v_local();
   rt_->Schedule(config_.network.replica_certifier.RoundTrip(),
@@ -903,7 +830,7 @@ void ReplicatedSystem::HealReplicaPartition(ReplicaId replica) {
     if (p->down() || IsReplicaPartitioned(replica)) return;  // cut again
     const DbVersion target = certifier_->CommitVersion();
     const Status st = certifier_->FetchSince(
-        from, [p](const WriteSet& ws) { p->OnRefresh(ws); });
+        0, from, [p](const WriteSet& ws) { p->OnRefresh(ws); });
     SCREP_CHECK_MSG(st.ok(), "heal catch-up failed: " << st.ToString());
     // Transactions stuck awaiting decisions re-certify (idempotent at
     // the certifier — already-decided ones get their original verdict).
@@ -915,22 +842,37 @@ void ReplicatedSystem::HealReplicaPartition(ReplicaId replica) {
 }
 
 void ReplicatedSystem::SweepLowWaterMark() {
-  DbVersion horizon = std::numeric_limits<DbVersion>::max();
-  for (auto& replica : replicas_) {
-    if (replica->proxy()->down()) continue;
-    const DbVersion oldest = replica->proxy()->OldestActiveSnapshot();
+  // Each lane's horizon: the oldest lane snapshot among the replicas that
+  // are not crashed and host it (at K = 1 the oldest snapshot overall).
+  std::vector<DbVersion> horizon(static_cast<size_t>(certifier_->lane_count()),
+                                 std::numeric_limits<DbVersion>::max());
+  for (ReplicaId r = 0; r < replica_count(); ++r) {
+    Replica* replica = replicas_[static_cast<size_t>(r)].get();
+    Proxy* proxy = replica->proxy();
+    if (proxy->down()) continue;
+    const DbVersion oldest = proxy->OldestActiveSnapshot();
     replica->db()->TruncateVersions(oldest);
-    horizon = std::min(horizon, oldest);
+    for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
+      if (!ReplicaHostsShard(r, s)) continue;
+      DbVersion& h = horizon[static_cast<size_t>(s)];
+      h = std::min(h, proxy->sharded() ? proxy->OldestShardSnapshot(s)
+                                       : oldest);
+    }
   }
-  // Sharded replicas count versions locally: the K lanes keep their cap.
-  if (certifier_ == nullptr ||
-      horizon == std::numeric_limits<DbVersion>::max()) {
-    return;
+  for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
+    const DbVersion h = horizon[static_cast<size_t>(s)];
+    if (h != std::numeric_limits<DbVersion>::max()) {
+      certifier_->PruneThrough(s, h);
+    }
   }
-  certifier_->PruneThrough(horizon);
   if (standby_certifier_ != nullptr) {
     standby_certifier_->MirrorPruneOf(*certifier_);
   }
+}
+
+std::string ReplicatedSystem::LaneTag(ShardId shard, ReplicaId replica) const {
+  const std::string r = ".r" + std::to_string(replica);
+  return sharded() ? ".s" + std::to_string(shard) + r : r;
 }
 
 void ReplicatedSystem::Submit(TxnRequest request) {

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "consistency/history.h"
@@ -17,7 +18,6 @@
 #include "replication/load_balancer.h"
 #include "replication/replica.h"
 #include "replication/shard_map.h"
-#include "replication/sharded_certifier.h"
 #include "runtime/runtime.h"
 #include "sql/table_set.h"
 
@@ -179,11 +179,11 @@ class ReplicatedSystem {
   /// governed by SystemConfig::obs).
   obs::Observability* obs() { return obs_.get(); }
   LoadBalancer* load_balancer() { return load_balancer_.get(); }
-  /// The single-stream certifier (null when shard_lanes > 1).
+  /// The active certifier (the promoted standby after a failover).
   Certifier* certifier() { return certifier_.get(); }
-  /// The K-lane certifier (null unless shard_lanes > 1).
-  ShardedCertifier* sharded_certifier() { return sharded_certifier_.get(); }
-  bool sharded() const { return sharded_certifier_ != nullptr; }
+  /// True with more than one certifier lane (partitioned certification).
+  bool sharded() const { return config_.certifier.shard_lanes > 1; }
+  /// The table -> certifier-lane assignment (one lane at K = 1).
   const ShardMap* shard_map() const { return shard_map_.get(); }
   Replica* replica(ReplicaId id) {
     return replicas_[static_cast<size_t>(id)].get();
@@ -193,21 +193,17 @@ class ReplicatedSystem {
   }
   const sql::TransactionRegistry& registry() const { return registry_; }
 
-  /// The certifier -> replica refresh channel (tests and benches read
-  /// its per-link stats: messages, bytes, drops, redeliveries).
-  net::Channel<RefreshBatch>* refresh_channel(ReplicaId replica) {
-    return ch_refresh_[static_cast<size_t>(replica)].get();
+  /// The certifier -> replica refresh channel of one lane's stream
+  /// (null when the replica does not host the lane).  Tests and benches
+  /// read its per-link stats: messages, bytes, drops, redeliveries.
+  net::Channel<RefreshBatch>* refresh_channel(ReplicaId replica,
+                                              ShardId lane = 0) {
+    return ch_refresh_[static_cast<size_t>(replica)]
+                      [static_cast<size_t>(lane)].get();
   }
   /// The LB -> replica dispatch channel.
   net::Channel<RoutedRequest>* dispatch_channel(ReplicaId replica) {
     return ch_dispatch_[static_cast<size_t>(replica)].get();
-  }
-  /// One (shard, replica) refresh stream's channel (sharded mode; null
-  /// when the replica does not host the shard).
-  net::Channel<RefreshBatch>* shard_refresh_channel(ShardId shard,
-                                                    ReplicaId replica) {
-    return ch_shard_refresh_[static_cast<size_t>(replica)]
-                            [static_cast<size_t>(shard)].get();
   }
 
  private:
@@ -226,9 +222,10 @@ class ReplicatedSystem {
   void EmitFaultEvent(obs::EventKind kind, const char* component,
                       ReplicaId replica);
   /// Every replica that is not crashed truncates its row versions below
-  /// its oldest active snapshot; the K=1 certifier (and its standby)
-  /// prunes below the minimum of those snapshots.  Partitioned replicas
-  /// count: their transactions may resubmit after the heal.
+  /// its oldest active snapshot; each certifier lane (and its standby
+  /// twin) prunes below the oldest lane snapshot among the replicas that
+  /// are not crashed and host it.  Partitioned replicas count: their
+  /// transactions may resubmit after the heal.
   void SweepLowWaterMark();
   /// Registers the component state gauges (queue depths, version lag,
   /// utilizations) polled by the sampler.
@@ -242,16 +239,16 @@ class ReplicatedSystem {
   /// (Re)wires the active load balancer's channels.
   void WireLoadBalancer();
 
-  /// True when `replica` hosts `shard` (sharded mode).
+  /// True when `replica` hosts certifier lane `shard` (always at K = 1).
   bool ReplicaHostsShard(ReplicaId replica, ShardId shard) const;
+  /// The channel-name suffix of one (lane, replica) stream: ".rN" at
+  /// K = 1, ".sS.rN" at K > 1.
+  std::string LaneTag(ShardId shard, ReplicaId replica) const;
 
   sql::TransactionRegistry registry_;
   std::vector<std::unique_ptr<Replica>> replicas_;
-  std::unique_ptr<Certifier> certifier_;
-  /// Partitioned certification (shard_lanes > 1): the shard map and the
-  /// K-lane certifier replacing `certifier_`.
   std::unique_ptr<ShardMap> shard_map_;
-  std::unique_ptr<ShardedCertifier> sharded_certifier_;
+  std::unique_ptr<Certifier> certifier_;
   std::unique_ptr<Certifier> standby_certifier_;
   /// The crashed primary is kept allocated (muted) until the run ends:
   /// simulated work it had in flight may still complete, and a crashed
@@ -282,17 +279,14 @@ class ReplicatedSystem {
   std::vector<std::unique_ptr<net::Channel<WriteSet>>> ch_cert_request_;
   std::vector<std::unique_ptr<net::Channel<TxnId>>> ch_commit_notice_;
   std::vector<std::unique_ptr<net::Channel<CertDecision>>> ch_decision_;
-  std::vector<std::unique_ptr<net::Channel<RefreshBatch>>> ch_refresh_;
   std::vector<std::unique_ptr<net::Channel<TxnId>>> ch_global_commit_;
   std::unique_ptr<net::Channel<WriteSet>> ch_forward_;
-  /// Replica -> certifier refresh-credit returns (flow control).
-  std::vector<std::unique_ptr<net::Channel<int>>> ch_credit_;
-  /// Sharded mode: per-(replica, shard) refresh streams and credit
-  /// returns; null entries where the replica does not host the shard.
+  /// Certifier -> replica refresh streams and replica -> certifier
+  /// credit returns (flow control), indexed [replica][lane]; null where
+  /// the replica does not host the lane.
   std::vector<std::vector<std::unique_ptr<net::Channel<RefreshBatch>>>>
-      ch_shard_refresh_;
-  std::vector<std::vector<std::unique_ptr<net::Channel<int>>>>
-      ch_shard_credit_;
+      ch_refresh_;
+  std::vector<std::vector<std::unique_ptr<net::Channel<int>>>> ch_credit_;
   std::vector<bool> partitioned_;
 };
 

@@ -70,8 +70,8 @@ class WriteSet {
   /// Deliberately NOT part of EncodeTo()/SerializedBytes(): channels move
   /// writesets as C++ values so the vectors survive transport, while the
   /// wire format, the WAL, and the size/encode memos stay exactly as in
-  /// the single-stream configuration (K = 1 byte-identity; WAL-based
-  /// recovery is not supported with a sharded certifier).  A mutator of
+  /// the single-stream configuration (K = 1 byte-identity; log-based
+  /// catch-up below a lane's window is not supported at K > 1).  A mutator of
   /// these fields therefore must NOT call InvalidateCaches().
   std::vector<std::pair<int32_t, DbVersion>> shard_versions;
   std::vector<std::pair<int32_t, DbVersion>> shard_snapshots;

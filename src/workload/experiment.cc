@@ -176,14 +176,10 @@ Result<ExperimentResult> RunExperiment(const Workload& workload,
     for (int r = 0; r < system->replica_count(); ++r) {
       system->replica(r)->proxy()->cpu()->ResetStats();
     }
-    if (ShardedCertifier* sharded = system->sharded_certifier()) {
-      for (int s = 0; s < sharded->shard_count(); ++s) {
-        sharded->lane_cpu(s)->ResetStats();
-        sharded->lane_disk(s)->ResetStats();
-      }
-    } else {
-      system->certifier()->cpu()->ResetStats();
-      system->certifier()->disk()->ResetStats();
+    Certifier* certifier = system->certifier();
+    for (ShardId s = 0; s < certifier->lane_count(); ++s) {
+      certifier->cpu(s)->ResetStats();
+      certifier->disk(s)->ResetStats();
     }
   });
 
@@ -275,9 +271,7 @@ Result<ExperimentResult> RunExperiment(const Workload& workload,
   result.lb_shed = system->load_balancer()->shed_count();
   result.peak_admission_queue =
       static_cast<int64_t>(system->load_balancer()->peak_admission_queue());
-  result.certifier_shed = system->sharded()
-                              ? system->sharded_certifier()->shed_count()
-                              : system->certifier()->shed_count();
+  result.certifier_shed = system->certifier()->shed_count();
   for (int r = 0; r < system->replica_count(); ++r) {
     result.peak_pending_writesets = std::max(
         result.peak_pending_writesets,
@@ -291,16 +285,11 @@ Result<ExperimentResult> RunExperiment(const Workload& workload,
   }
   result.replica_cpu_utilization =
       cpu_total / static_cast<double>(system->replica_count());
-  if (ShardedCertifier* sharded = system->sharded_certifier()) {
-    // The busiest lane: the WAL bottleneck of a partitioned certifier.
-    for (int s = 0; s < sharded->shard_count(); ++s) {
-      result.certifier_disk_utilization =
-          std::max(result.certifier_disk_utilization,
-                   sharded->lane_disk(s)->Utilization());
-    }
-  } else {
+  // The busiest lane: the WAL bottleneck of a partitioned certifier.
+  for (ShardId s = 0; s < system->certifier()->lane_count(); ++s) {
     result.certifier_disk_utilization =
-        system->certifier()->disk()->Utilization();
+        std::max(result.certifier_disk_utilization,
+                 system->certifier()->disk(s)->Utilization());
   }
 
   if (const obs::Auditor* auditor = system->obs()->auditor()) {

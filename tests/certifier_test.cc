@@ -35,7 +35,7 @@ class CertifierTest : public ::testing::Test {
           decisions_.emplace_back(origin, decision);
         });
     certifier_->SetRefreshCallback(
-        [this](ReplicaId target, const RefreshBatch& batch) {
+        [this](ShardId, ReplicaId target, const RefreshBatch& batch) {
           for (const WriteSetRef& ws : batch.writesets) {
             refreshes_.emplace_back(target, *ws);
           }
@@ -149,9 +149,9 @@ TEST_F(CertifierTest, DurabilityLogGrowsWithCommits) {
   certifier_->SubmitCertification(MakeWs(1, 0, 0, {5}));
   certifier_->SubmitCertification(MakeWs(2, 1, 0, {6}));
   sim_.RunAll();
-  EXPECT_EQ(certifier_->wal().DurableSize(), 2u);
+  EXPECT_EQ(certifier_->wal(0).DurableSize(), 2u);
   std::vector<WriteSet> records;
-  ASSERT_TRUE(certifier_->wal().ReadAll(&records).ok());
+  ASSERT_TRUE(certifier_->wal(0).ReadAll(&records).ok());
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].commit_version, 1);
   EXPECT_EQ(records[1].commit_version, 2);
@@ -168,7 +168,7 @@ TEST_F(CertifierTest, GroupCommitBatchesShareForce) {
   }
   sim_.RunAll();
   EXPECT_EQ(certifier_->certified_count(), 20);
-  const SimTime disk_time = certifier_->disk()->BusyTime();
+  const SimTime disk_time = certifier_->disk(0)->BusyTime();
   EXPECT_LT(disk_time, 20 * Millis(0.8));
 }
 
@@ -202,7 +202,8 @@ TEST_F(CertifierTest, WindowOverflowAbortsConservatively) {
       [this](ReplicaId origin, const CertDecision& decision) {
         decisions_.emplace_back(origin, decision);
       });
-  certifier_->SetRefreshCallback([](ReplicaId, const RefreshBatch&) {});
+  certifier_->SetRefreshCallback(
+      [](ShardId, ReplicaId, const RefreshBatch&) {});
   for (TxnId t = 1; t <= 4; ++t) {
     certifier_->SubmitCertification(
         MakeWs(t, 0, static_cast<DbVersion>(t - 1),
@@ -228,9 +229,9 @@ TEST_F(CertifierTest, PrunedToEmptyWindowAbortsStaleSnapshots) {
     sim_.RunAll();
   }
   ASSERT_EQ(certifier_->CommitVersion(), 5);
-  certifier_->PruneThrough(5);
+  certifier_->PruneThrough(0, 5);
   EXPECT_EQ(certifier_->pruned_through(), 5);
-  EXPECT_EQ(certifier_->retained_writesets(), 0u);
+  EXPECT_EQ(certifier_->retained_writesets(0), 0u);
   EXPECT_EQ(certifier_->conflict_index_size(), 0u);
   // Only the decision made at the mark itself stays (an abort decided at
   // version 5 for a snapshot-5 transaction could still be awaited).
@@ -247,7 +248,7 @@ TEST_F(CertifierTest, PrunedToEmptyWindowAbortsStaleSnapshots) {
   EXPECT_TRUE(decisions_.back().second.commit);
   EXPECT_EQ(decisions_.back().second.commit_version, 6);
   // The mark never moves back.
-  certifier_->PruneThrough(3);
+  certifier_->PruneThrough(0, 3);
   EXPECT_EQ(certifier_->pruned_through(), 5);
 }
 
@@ -261,19 +262,19 @@ TEST_F(CertifierTest, FetchSinceStitchesLogSuffixAndWindow) {
                {static_cast<int64_t>(t)}));
     sim_.RunAll();
   }
-  certifier_->PruneThrough(150);
-  ASSERT_EQ(certifier_->retained_writesets(), 50u);
+  certifier_->PruneThrough(0, 150);
+  ASSERT_EQ(certifier_->retained_writesets(0), 50u);
   // Two more certified but not yet forced: only the window has them.
   certifier_->SubmitCertification(MakeWs(201, 0, 200, {201}));
   certifier_->SubmitCertification(MakeWs(202, 0, 200, {202}));
   sim_.RunUntil(sim_.Now() + Micros(300));
   ASSERT_EQ(certifier_->CommitVersion(), 202);
-  ASSERT_EQ(certifier_->wal().DurableSize(), 200u);
+  ASSERT_EQ(certifier_->wal(0).DurableSize(), 200u);
   for (DbVersion from : {DbVersion{0}, DbVersion{63}, DbVersion{64},
                          DbVersion{149}, DbVersion{150}, DbVersion{201}}) {
     std::vector<DbVersion> got;
     ASSERT_TRUE(certifier_
-                    ->FetchSince(from,
+                    ->FetchSince(0, from,
                                  [&got](const WriteSet& ws) {
                                    got.push_back(ws.commit_version);
                                  })
@@ -303,7 +304,7 @@ TEST_F(CertifierTest, StandbyMirrorsPruneAtTheSameStreamPosition) {
   certifier_->SubmitCertification(MakeWs(3, 1, 0, {3}));
   sim_.RunAll();
   ASSERT_EQ(certifier_->CommitVersion(), 3);
-  certifier_->PruneThrough(3);
+  certifier_->PruneThrough(0, 3);
   // The standby has seen only the first forward when the sweep mirrors.
   standby.SubmitCertification(forwarded[0]);
   sim_.RunAll();
@@ -334,7 +335,8 @@ TEST_F(CertifierTest, DecisionMapBoundedByConflictWindow) {
       [this](ReplicaId origin, const CertDecision& decision) {
         decisions_.emplace_back(origin, decision);
       });
-  certifier_->SetRefreshCallback([](ReplicaId, const RefreshBatch&) {});
+  certifier_->SetRefreshCallback(
+      [](ShardId, ReplicaId, const RefreshBatch&) {});
   for (TxnId t = 1; t <= 500; ++t) {
     certifier_->SubmitCertification(
         MakeWs(t, 0, static_cast<DbVersion>(t - 1),
@@ -390,8 +392,8 @@ TEST_F(CertifierTest, ForceBatchCapOneForcesEveryCommitSeparately) {
   sim_.RunAll();
   EXPECT_EQ(certifier_->certified_count(), 20);
   // A cap of one disables group commit entirely: 20 commits, 20 forces.
-  EXPECT_EQ(certifier_->disk()->BusyTime(), 20 * Millis(0.8));
-  EXPECT_EQ(certifier_->wal().DurableSize(), 20u);
+  EXPECT_EQ(certifier_->disk(0)->BusyTime(), 20 * Millis(0.8));
+  EXPECT_EQ(certifier_->wal(0).DurableSize(), 20u);
 }
 
 TEST_F(CertifierTest, ForceBatchCapKeepsCommitVersionOrder) {
@@ -413,7 +415,7 @@ TEST_F(CertifierTest, ForceBatchCapKeepsCommitVersionOrder) {
               static_cast<DbVersion>(i + 1));
   }
   std::vector<WriteSet> records;
-  ASSERT_TRUE(certifier_->wal().ReadAll(&records).ok());
+  ASSERT_TRUE(certifier_->wal(0).ReadAll(&records).ok());
   ASSERT_EQ(records.size(), 11u);
   for (size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].commit_version, static_cast<DbVersion>(i + 1));
@@ -433,7 +435,7 @@ TEST_F(CertifierTest, UnboundedForceBatchEquivalentToHugeCap) {
     certifier.SetDecisionCallback(
         [](ReplicaId, const CertDecision&) {});
     certifier.SetRefreshCallback(
-        [&](ReplicaId target, const RefreshBatch& batch) {
+        [&](ShardId, ReplicaId target, const RefreshBatch& batch) {
           for (const WriteSetRef& ws : batch.writesets) {
             refreshes.emplace_back(target, ws->txn_id, ws->commit_version,
                                    sim.Now());
@@ -444,7 +446,7 @@ TEST_F(CertifierTest, UnboundedForceBatchEquivalentToHugeCap) {
           MakeWs(t, 0, 0, {static_cast<int64_t>(t * 3)}));
     }
     sim.RunAll();
-    return std::make_pair(refreshes, certifier.disk()->BusyTime());
+    return std::make_pair(refreshes, certifier.disk(0)->BusyTime());
   };
   const auto unbounded = run(0);
   const auto huge = run(1000);
@@ -463,7 +465,7 @@ TEST_F(CertifierTest, ShedSubmissionsNeverLeakAnIntakeSlot) {
         MakeWs(t, 0, 0, {static_cast<int64_t>(t)}));
   }
   EXPECT_EQ(certifier_->shed_count(), 7);
-  EXPECT_EQ(certifier_->cpu()->QueueLength(), 2u);
+  EXPECT_EQ(certifier_->cpu(0)->QueueLength(), 2u);
   ASSERT_EQ(decisions_.size(), 7u);
   for (const auto& [origin, decision] : decisions_) {
     (void)origin;
@@ -475,7 +477,7 @@ TEST_F(CertifierTest, ShedSubmissionsNeverLeakAnIntakeSlot) {
   // The admitted three were certified normally; the queue is empty again.
   EXPECT_EQ(certifier_->certified_count(), 3);
   EXPECT_EQ(certifier_->CommitVersion(), 3);
-  EXPECT_EQ(certifier_->cpu()->QueueLength(), 0u);
+  EXPECT_EQ(certifier_->cpu(0)->QueueLength(), 0u);
   // Full capacity is back: another burst at the bound is admitted whole.
   decisions_.clear();
   for (TxnId t = 11; t <= 13; ++t) {
@@ -524,7 +526,7 @@ TEST_F(CertifierTest, DecidedResubmissionExemptFromIntakeBound) {
   EXPECT_EQ(seen[1], 2);
   EXPECT_EQ(certifier_->certified_count(), 3);  // txn 1, 2 and 3
   // The resubmission held no slot: the queue drained to empty.
-  EXPECT_EQ(certifier_->cpu()->QueueLength(), 0u);
+  EXPECT_EQ(certifier_->cpu(0)->QueueLength(), 0u);
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ TEST_F(HaFailoverTest, StandbyTracksPrimaryState) {
   EXPECT_TRUE(system_->CertifierFailedOver());
   EXPECT_EQ(system_->certifier()->CommitVersion(), 20);
   std::vector<WriteSet> log;
-  ASSERT_TRUE(system_->certifier()->wal().ReadAll(&log).ok());
+  ASSERT_TRUE(system_->certifier()->wal(0).ReadAll(&log).ok());
   EXPECT_EQ(log.size(), 20u);
 }
 

@@ -69,7 +69,7 @@ TEST_F(IntegrationEdgeTest, ColdStartReplicaFromCertifierLog) {
   ASSERT_TRUE(workload_->BuildSchema(&fresh).ok());
   Status apply = Status::OK();
   ASSERT_TRUE(system_->certifier()
-                  ->wal()
+                  ->wal(0)
                   .ReadSince(0, [&](const WriteSet& ws) {
                     if (apply.ok()) apply = fresh.ApplyWriteSet(ws);
                   })
@@ -102,7 +102,7 @@ TEST_F(IntegrationEdgeTest, DuplicateRefreshDeliveryIsIdempotent) {
   ASSERT_EQ(v, 1);
   // Re-deliver the same refresh writeset (failover overlap): dropped.
   std::vector<WriteSet> log;
-  ASSERT_TRUE(system_->certifier()->wal().ReadAll(&log).ok());
+  ASSERT_TRUE(system_->certifier()->wal(0).ReadAll(&log).ok());
   ASSERT_EQ(log.size(), 1u);
   system_->replica(1)->proxy()->OnRefresh(log[0]);
   sim_->RunAll();

@@ -7,7 +7,8 @@
 // under bounds that do not depend on how long the run lasts.  Around the
 // outage retention may rise by the outage's backlog (the recovering
 // replica holds the horizon until it has caught up), but no further.  The
-// online auditor must stay clean throughout.
+// online auditor must stay clean throughout.  A second arm runs two
+// certifier lanes and bounds what each lane retains.
 //
 // Clients think 4 ms between transactions, so replicas have headroom: at
 // saturation a recovered replica applies barely faster than the cluster
@@ -63,6 +64,50 @@ struct Retention {
   }
 };
 
+/// A micro workload on a fresh audited system of kReplicas replicas,
+/// driven by 8 closed-loop clients thinking 4 ms between transactions.
+struct Soak {
+  Soak(const MicroConfig& micro, SystemConfig config) : workload(micro) {
+    config.replica_count = kReplicas;
+    config.obs.audit = true;
+    auto system_or = ReplicatedSystem::Create(
+        &rt, config,
+        [this](Database* db) { return workload.BuildSchema(db); },
+        [this](const Database& db, sql::TransactionRegistry* reg) {
+          return workload.DefineTransactions(db, reg);
+        });
+    SCREP_CHECK_MSG(system_or.ok(), system_or.status().ToString());
+    system = std::move(*system_or);
+    Rng seed_rng(5);
+    ClientConfig client_config;
+    client_config.mean_think_time = Millis(4);
+    for (int c = 0; c < 8; ++c) {
+      clients.push_back(std::make_unique<ClientDriver>(
+          system.get(), &metrics,
+          workload.CreateGenerator(system->registry(), c, seed_rng.Fork()), c,
+          client_config, seed_rng.Fork()));
+    }
+    system->SetClientCallback([this](const TxnResponse& r) {
+      clients[static_cast<size_t>(r.client_id)]->OnResponse(r);
+    });
+    for (auto& client : clients) client->Start();
+  }
+
+  /// Stops the clients and drains the simulation.
+  void Stop() {
+    for (auto& client : clients) client->Stop();
+    system->obs()->StopSampling();
+    sim.RunAll();
+  }
+
+  MicroWorkload workload;
+  Simulator sim;
+  runtime::SimRuntime rt{&sim};
+  MetricsCollector metrics{/*warmup=*/0};
+  std::unique_ptr<ReplicatedSystem> system;
+  std::vector<std::unique_ptr<ClientDriver>> clients;
+};
+
 class MemoryBoundTest : public ::testing::TestWithParam<ConsistencyLevel> {};
 
 TEST_P(MemoryBoundTest, RetentionStaysFlatOverALongRun) {
@@ -70,41 +115,14 @@ TEST_P(MemoryBoundTest, RetentionStaysFlatOverALongRun) {
   micro.table_count = 2;
   micro.rows_per_table = 500;
   micro.update_fraction = 0.5;
-  const MicroWorkload workload(micro);
-
-  Simulator sim;
-  runtime::SimRuntime rt{&sim};
   SystemConfig config;
-  config.replica_count = kReplicas;
   config.level = GetParam();
-  config.obs.audit = true;
-  auto system_or = ReplicatedSystem::Create(
-      &rt, config,
-      [&workload](Database* db) { return workload.BuildSchema(db); },
-      [&workload](const Database& db, sql::TransactionRegistry* reg) {
-        return workload.DefineTransactions(db, reg);
-      });
-  ASSERT_TRUE(system_or.ok()) << system_or.status().ToString();
-  auto system = std::move(*system_or);
+  Soak soak(micro, config);
+  Simulator& sim = soak.sim;
+  ReplicatedSystem* system = soak.system.get();
   const double initial_versions =
       system->obs()->registry()->GaugeValue("replica0.mvcc_versions");
   ASSERT_GT(initial_versions, 1000);
-
-  MetricsCollector metrics(/*warmup=*/0);
-  Rng seed_rng(5);
-  std::vector<std::unique_ptr<ClientDriver>> clients;
-  ClientConfig client_config;
-  client_config.mean_think_time = Millis(4);
-  for (int c = 0; c < 8; ++c) {
-    clients.push_back(std::make_unique<ClientDriver>(
-        system.get(), &metrics,
-        workload.CreateGenerator(system->registry(), c, seed_rng.Fork()), c,
-        client_config, seed_rng.Fork()));
-  }
-  system->SetClientCallback([&clients](const TxnResponse& r) {
-    clients[static_cast<size_t>(r.client_id)]->OnResponse(r);
-  });
-  for (auto& client : clients) client->Start();
 
   const Certifier* certifier = system->certifier();
   const obs::MetricsRegistry* registry = system->obs()->registry();
@@ -132,23 +150,21 @@ TEST_P(MemoryBoundTest, RetentionStaysFlatOverALongRun) {
       caught_up_at = v;
     }
     if (v <= kEarlyCommits) {
-      early.Observe(system.get());
+      early.Observe(system);
       wal_bytes_early = registry->GaugeValue("certifier.wal_bytes");
     } else if (caught_up_at != 0 &&
                v >= caught_up_at + 2 * ReplicatedSystem::kSweepEveryCommits) {
       // Steady state: caught up, and swept since (an eager catch-up
       // blocks commits, so the sweep that trims it comes just after).
-      late.Observe(system.get());
+      late.Observe(system);
     } else {
-      outage.Observe(system.get());
+      outage.Observe(system);
     }
   }
   ASSERT_TRUE(recovered);
   ASSERT_GT(caught_up_at, 0);
   EXPECT_LE(caught_up_at, kCaughtUpBy);
-  for (auto& client : clients) client->Stop();
-  system->obs()->StopSampling();
-  sim.RunAll();
+  soak.Stop();
 
   // Fixed bounds, independent of run length: the live rows plus a few
   // sweep intervals of versions, and a few sweep intervals of window.
@@ -195,6 +211,62 @@ TEST_P(MemoryBoundTest, RetentionStaysFlatOverALongRun) {
     });
     EXPECT_EQ(want, got) << reference->TableName(id);
   }
+  const obs::Auditor* auditor = system->obs()->auditor();
+  ASSERT_NE(auditor, nullptr);
+  EXPECT_TRUE(auditor->ok()) << auditor->Summary();
+}
+
+// Two certifier lanes: each lane prunes at its own horizon, the oldest
+// lane snapshot among the live replicas hosting it.  Per-lane retained
+// writesets and the retained decisions must stay under the same fixed
+// bounds as the single stream, over the first 25k commits and up to 100k.
+// (Replica crash/recovery is refused at K > 1, so no outage here.)
+TEST(ShardedMemoryBoundTest, PerLaneRetentionStaysFlatAtTwoLanes) {
+  constexpr int kLanes = 2;
+  constexpr DbVersion kEarly = 25000;
+  constexpr DbVersion kTotal = 100000;
+  MicroConfig micro;
+  micro.table_count = 4;
+  micro.rows_per_table = 500;
+  micro.update_fraction = 0.5;
+  SystemConfig config;
+  config.level = ConsistencyLevel::kLazyCoarse;
+  config.certifier.shard_lanes = kLanes;
+  Soak soak(micro, config);
+  ReplicatedSystem* system = soak.system.get();
+
+  const Certifier* certifier = system->certifier();
+  const obs::MetricsRegistry* registry = system->obs()->registry();
+  // Peaks of certifier.laneS.retained_writesets and certifier.decided.
+  double early_retained[kLanes] = {}, late_retained[kLanes] = {};
+  double early_decided = 0, late_decided = 0;
+  while (certifier->certified_count() < kTotal) {
+    soak.sim.RunUntil(soak.sim.Now() + Millis(20));
+    const bool early = certifier->certified_count() <= kEarly;
+    double* retained = early ? early_retained : late_retained;
+    for (int s = 0; s < kLanes; ++s) {
+      retained[s] = std::max(
+          retained[s], registry->GaugeValue("certifier.lane" +
+                                            std::to_string(s) +
+                                            ".retained_writesets"));
+    }
+    double& decided = early ? early_decided : late_decided;
+    decided = std::max(decided, registry->GaugeValue("certifier.decided"));
+  }
+  soak.Stop();
+
+  const double sweep = ReplicatedSystem::kSweepEveryCommits;
+  for (int s = 0; s < kLanes; ++s) {
+    SCOPED_TRACE("lane " + std::to_string(s));
+    // Both lanes carried a fair share of the load.
+    EXPECT_GT(certifier->CommitVersion(s), kTotal / 4);
+    EXPECT_GT(early_retained[s], 0);
+    EXPECT_LE(late_retained[s], 8 * sweep);
+    EXPECT_LE(late_retained[s], 2 * early_retained[s]);
+  }
+  EXPECT_LE(late_decided, 8 * sweep);
+  EXPECT_LE(late_decided, 2 * early_decided);
+  EXPECT_EQ(certifier->window_abort_count(), 0);
   const obs::Auditor* auditor = system->obs()->auditor();
   ASSERT_NE(auditor, nullptr);
   EXPECT_TRUE(auditor->ok()) << auditor->Summary();

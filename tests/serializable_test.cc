@@ -272,7 +272,8 @@ TEST_F(WriteSkewTest, SerializableCatchesPhantomInsert) {
   std::vector<CertDecision> decisions;
   system_->certifier()->SetDecisionCallback(
       [&](ReplicaId, const CertDecision& d) { decisions.push_back(d); });
-  system_->certifier()->SetRefreshCallback([](ReplicaId, const RefreshBatch&) {});
+  system_->certifier()->SetRefreshCallback(
+      [](ShardId, ReplicaId, const RefreshBatch&) {});
   system_->certifier()->SubmitCertification(inserter);
   system_->certifier()->SubmitCertification(scanner);
   sim_->RunAll();

@@ -1,15 +1,18 @@
-// Partitioned certification: unit tests of the K-lane ShardedCertifier
+// Partitioned certification: unit tests of the certifier at K > 1 lanes
 // (dense per-shard versions, the cross-shard sequencer, per-shard
 // first-committer-wins, intake shedding, idempotent replay, hosted-shard
 // refresh filtering and per-stream credits), plus end-to-end sharded
 // system runs under the online auditor — full replication, partial
-// replication, and a cross-shard workload that drives the sequencer.
+// replication, refresh batching, standby failover, and a cross-shard
+// workload that drives the sequencer.
 
-#include "replication/sharded_certifier.h"
+#include "replication/certifier.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -50,8 +53,9 @@ class ShardedCertifierTest : public ::testing::Test {
   void Build(int tables, int shards, int replicas,
              CertifierConfig config = CertifierConfig{}) {
     config.shard_lanes = shards;
-    certifier_ = std::make_unique<ShardedCertifier>(
-        &rt_, config, ShardMap(tables, shards), replicas);
+    certifier_ = std::make_unique<Certifier>(&rt_, config, replicas,
+                                             /*eager=*/false,
+                                             ShardMap(tables, shards));
     certifier_->SetDecisionCallback(
         [this](ReplicaId origin, const CertDecision& decision) {
           decisions_.emplace_back(origin, decision);
@@ -89,7 +93,7 @@ class ShardedCertifierTest : public ::testing::Test {
 
   Simulator sim_;
   runtime::SimRuntime rt_{&sim_};
-  std::unique_ptr<ShardedCertifier> certifier_;
+  std::unique_ptr<Certifier> certifier_;
   std::vector<std::pair<ReplicaId, CertDecision>> decisions_;
   std::vector<Refresh> refreshes_;
 };
@@ -113,8 +117,8 @@ TEST_F(ShardedCertifierTest, LaneVersionsAreDensePerShard) {
   EXPECT_EQ(ShardVersionIn(DecisionOf(3), 0), 2);
   EXPECT_EQ(ShardVersionIn(DecisionOf(2), 1), 1);
   EXPECT_EQ(ShardVersionIn(DecisionOf(4), 1), 2);
-  EXPECT_EQ(certifier_->LaneCommitVersion(0), 2);
-  EXPECT_EQ(certifier_->LaneCommitVersion(1), 2);
+  EXPECT_EQ(certifier_->CommitVersion(0), 2);
+  EXPECT_EQ(certifier_->CommitVersion(1), 2);
   EXPECT_EQ(certifier_->certified_count(), 4);
   EXPECT_EQ(certifier_->sequenced_count(), 0);
 }
@@ -129,8 +133,8 @@ TEST_F(ShardedCertifierTest, CrossShardCommitGetsJointVersion) {
   // One version in each touched lane, assigned atomically at decide time.
   EXPECT_EQ(ShardVersionIn(decision, 0), 1);
   EXPECT_EQ(ShardVersionIn(decision, 1), 1);
-  EXPECT_EQ(certifier_->LaneCommitVersion(0), 1);
-  EXPECT_EQ(certifier_->LaneCommitVersion(1), 1);
+  EXPECT_EQ(certifier_->CommitVersion(0), 1);
+  EXPECT_EQ(certifier_->CommitVersion(1), 1);
   EXPECT_EQ(certifier_->sequenced_count(), 1);
 }
 
@@ -172,7 +176,7 @@ TEST_F(ShardedCertifierTest, StaleWriterAbortsAgainstCrossShardCommit) {
   EXPECT_FALSE(DecisionOf(2).commit);
   EXPECT_EQ(certifier_->abort_count(), 1);
   // The aborted transaction consumed no version in any lane.
-  EXPECT_EQ(certifier_->LaneCommitVersion(1), 1);
+  EXPECT_EQ(certifier_->CommitVersion(1), 1);
 }
 
 TEST_F(ShardedCertifierTest, FreshPerShardSnapshotEscapesConflict) {
@@ -198,8 +202,8 @@ TEST_F(ShardedCertifierTest, ConflictsAreShardLocal) {
   certifier_->SubmitCertification(MakeWs(9, 1, {{1, 5}}));
   sim_.RunAll();
   EXPECT_TRUE(DecisionOf(9).commit);
-  EXPECT_EQ(certifier_->LaneCommitVersion(0), 5);
-  EXPECT_EQ(certifier_->LaneCommitVersion(1), 1);
+  EXPECT_EQ(certifier_->CommitVersion(0), 5);
+  EXPECT_EQ(certifier_->CommitVersion(1), 1);
 }
 
 TEST_F(ShardedCertifierTest, SnapshotOlderThanLaneWindowAborts) {
@@ -268,8 +272,8 @@ TEST_F(ShardedCertifierTest, ResubmittedDecisionReplaysVerbatim) {
   // Nothing was re-certified: counters and lane versions are unchanged.
   EXPECT_EQ(certifier_->certified_count(), 1);
   EXPECT_EQ(certifier_->sequenced_count(), 1);
-  EXPECT_EQ(certifier_->LaneCommitVersion(0), 1);
-  EXPECT_EQ(certifier_->LaneCommitVersion(1), 1);
+  EXPECT_EQ(certifier_->CommitVersion(0), 1);
+  EXPECT_EQ(certifier_->CommitVersion(1), 1);
 }
 
 TEST_F(ShardedCertifierTest, RefreshSkipsReplicasNotHostingTheShard) {
@@ -388,32 +392,46 @@ TEST(ShardedSystemTest, PartialReplicationAuditsCleanly) {
 }
 
 TEST(ShardedSystemTest, UnsupportedCombinationsAreRefused) {
+  // The proxies' and the load balancer's per-shard paths have no eager or
+  // bounded-staleness mode yet; the standby certifier and refresh
+  // batching run at K > 1 (see the end-to-end tests below).
+  Simulator sim;
+  runtime::SimRuntime rt{&sim};
+  auto create = [&rt](const SystemConfig& config) {
+    return ReplicatedSystem::Create(
+        &rt, config, [](Database*) { return Status::OK(); },
+        [](const Database&, sql::TransactionRegistry*) {
+          return Status::OK();
+        });
+  };
   SystemConfig config;
   config.replica_count = 2;
   config.certifier.shard_lanes = 2;
   config.level = ConsistencyLevel::kEager;
-  Simulator sim;
-  runtime::SimRuntime rt{&sim};
-  auto eager = ReplicatedSystem::Create(
-      &rt, config, [](Database*) { return Status::OK(); },
-      [](const Database&, sql::TransactionRegistry*) {
-        return Status::OK();
-      });
-  EXPECT_FALSE(eager.ok());
+  EXPECT_EQ(create(config).status().code(), StatusCode::kNotSupported);
+  config.level = ConsistencyLevel::kBoundedStaleness;
+  EXPECT_EQ(create(config).status().code(), StatusCode::kNotSupported);
+  config.level = ConsistencyLevel::kLazyCoarse;
+  config.standby_certifier = true;
+  config.certifier.refresh_batching = true;
+  EXPECT_TRUE(create(config).ok());
 }
 
-// A workload whose update mix includes a two-table transaction, so the
-// sharded system exercises the sequencer end to end.
-class TwoTableWorkload : public Workload {
+// A workload over `tables` tables t0, t1, ... whose update mix includes
+// a two-table transaction (t_i and t_i+1), so a sharded system exercises
+// the sequencer end to end.
+class MultiTableWorkload : public Workload {
  public:
-  std::string name() const override { return "two-table"; }
+  explicit MultiTableWorkload(int tables) : tables_(tables) {}
+
+  std::string name() const override { return "multi-table"; }
 
   Status BuildSchema(Database* db) const override {
-    for (const char* table : {"alpha", "beta"}) {
+    for (int t = 0; t < tables_; ++t) {
       SCREP_ASSIGN_OR_RETURN(
           TableId id,
-          db->CreateTable(table, Schema({{"id", ValueType::kInt64},
-                                         {"val", ValueType::kInt64}})));
+          db->CreateTable(Table(t), Schema({{"id", ValueType::kInt64},
+                                            {"val", ValueType::kInt64}})));
       for (int64_t key = 0; key < 100; ++key) {
         SCREP_RETURN_NOT_OK(db->BulkLoad(id, Row{Value(key), Value(key)}));
       }
@@ -424,42 +442,38 @@ class TwoTableWorkload : public Workload {
   Status DefineTransactions(const Database& db,
                             sql::TransactionRegistry* registry) const
       override {
-    for (const char* table : {"alpha", "beta"}) {
-      sql::PreparedTransaction txn;
-      txn.name = std::string("update_") + table;
-      SCREP_ASSIGN_OR_RETURN(
-          auto stmt, sql::PreparedStatement::Prepare(
-                         db, std::string("UPDATE ") + table +
-                                 " SET val = val + ? WHERE id = ?"));
-      txn.statements.push_back(std::move(stmt));
-      registry->Register(std::move(txn));
-    }
-    {
-      sql::PreparedTransaction txn;
-      txn.name = "update_both";
-      SCREP_ASSIGN_OR_RETURN(auto a,
-                             sql::PreparedStatement::Prepare(
-                                 db,
-                                 "UPDATE alpha SET val = val + ? "
-                                 "WHERE id = ?"));
-      SCREP_ASSIGN_OR_RETURN(auto b,
-                             sql::PreparedStatement::Prepare(
-                                 db,
-                                 "UPDATE beta SET val = val + ? "
-                                 "WHERE id = ?"));
-      txn.statements.push_back(std::move(a));
-      txn.statements.push_back(std::move(b));
-      registry->Register(std::move(txn));
-    }
-    {
-      sql::PreparedTransaction txn;
-      txn.name = "read_alpha";
-      SCREP_ASSIGN_OR_RETURN(auto stmt,
-                             sql::PreparedStatement::Prepare(
-                                 db, "SELECT id, val FROM alpha "
-                                     "WHERE id = ?"));
-      txn.statements.push_back(std::move(stmt));
-      registry->Register(std::move(txn));
+    auto update = [&db](const std::string& table)
+        -> Result<std::shared_ptr<const sql::PreparedStatement>> {
+      return sql::PreparedStatement::Prepare(
+          db, "UPDATE " + table + " SET val = val + ? WHERE id = ?");
+    };
+    for (int t = 0; t < tables_; ++t) {
+      {
+        sql::PreparedTransaction txn;
+        txn.name = "update_" + Table(t);
+        SCREP_ASSIGN_OR_RETURN(auto stmt, update(Table(t)));
+        txn.statements.push_back(std::move(stmt));
+        registry->Register(std::move(txn));
+      }
+      {
+        sql::PreparedTransaction txn;
+        txn.name = "update_pair_" + Table(t);
+        SCREP_ASSIGN_OR_RETURN(auto a, update(Table(t)));
+        SCREP_ASSIGN_OR_RETURN(auto b, update(Table((t + 1) % tables_)));
+        txn.statements.push_back(std::move(a));
+        txn.statements.push_back(std::move(b));
+        registry->Register(std::move(txn));
+      }
+      {
+        sql::PreparedTransaction txn;
+        txn.name = "read_" + Table(t);
+        SCREP_ASSIGN_OR_RETURN(
+            auto stmt, sql::PreparedStatement::Prepare(
+                           db, "SELECT id, val FROM " + Table(t) +
+                                   " WHERE id = ?"));
+        txn.statements.push_back(std::move(stmt));
+        registry->Register(std::move(txn));
+      }
     }
     return Status::OK();
   }
@@ -470,34 +484,29 @@ class TwoTableWorkload : public Workload {
     (void)client_id;
     class Generator : public TxnGenerator {
      public:
-      Generator(TxnTypeId read, TxnTypeId upd_a, TxnTypeId upd_b,
-                TxnTypeId upd_both, Rng rng)
-          : read_(read),
-            upd_a_(upd_a),
-            upd_b_(upd_b),
-            upd_both_(upd_both),
-            rng_(rng) {}
+      Generator(const sql::TransactionRegistry& registry, int tables, Rng rng)
+          : registry_(registry), tables_(tables), rng_(rng) {}
 
       TxnSpec Next() override {
-        TxnSpec spec;
-        const int64_t key = rng_.NextInRange(0, 99);
+        const std::string table =
+            Table(static_cast<int>(rng_.NextBounded(
+                static_cast<uint64_t>(tables_))));
+        const Value key(rng_.NextInRange(0, 99));
         const Value delta(rng_.NextInRange(1, 100));
+        TxnSpec spec;
         switch (rng_.NextBounded(4)) {
           case 0:
-            spec.type = read_;
-            spec.params = {{Value(key)}};
+            spec.type = Find("read_" + table);
+            spec.params = {{key}};
             break;
           case 1:
-            spec.type = upd_a_;
-            spec.params = {{delta, Value(key)}};
-            break;
           case 2:
-            spec.type = upd_b_;
-            spec.params = {{delta, Value(key)}};
+            spec.type = Find("update_" + table);
+            spec.params = {{delta, key}};
             break;
           default:
-            spec.type = upd_both_;
-            spec.params = {{delta, Value(key)},
+            spec.type = Find("update_pair_" + table);
+            spec.params = {{delta, key},
                            {delta, Value(rng_.NextInRange(0, 99))}};
             break;
         }
@@ -505,79 +514,279 @@ class TwoTableWorkload : public Workload {
       }
 
      private:
-      TxnTypeId read_, upd_a_, upd_b_, upd_both_;
+      TxnTypeId Find(const std::string& name) const {
+        Result<TxnTypeId> id = registry_.Find(name);
+        SCREP_CHECK(id.ok());
+        return *id;
+      }
+
+      const sql::TransactionRegistry& registry_;
+      int tables_;
       Rng rng_;
     };
-    auto find = [&registry](const char* name) {
-      Result<TxnTypeId> id = registry.Find(name);
-      SCREP_CHECK(id.ok());
-      return *id;
-    };
-    return std::make_unique<Generator>(find("read_alpha"),
-                                       find("update_alpha"),
-                                       find("update_beta"),
-                                       find("update_both"), rng);
+    return std::make_unique<Generator>(registry, tables_, rng);
   }
+
+  static std::string Table(int t) { return "t" + std::to_string(t); }
+
+ private:
+  int tables_;
 };
 
-TEST(ShardedSystemTest, CrossShardWorkloadDrivesTheSequencerAuditClean) {
-  const TwoTableWorkload workload;
+/// What one audited sharded run left behind.
+struct RunOutcome {
+  std::unique_ptr<ReplicatedSystem> system;
+  int64_t acknowledged_updates = 0;
+};
+
+/// Runs `workload` on a fresh system under 6 closed-loop clients for 2 s
+/// of simulated time, calling `mid_run` (if any) at 1 s, then drains and
+/// checks what every configuration must guarantee: the online auditor is
+/// clean, every replica published each lane it hosts up to the
+/// certifier's version, full replicas hold identical tables, and every
+/// update acknowledged to a client as committed is in the certifier's
+/// log.
+RunOutcome RunAudited(const Workload& workload, SystemConfig config,
+                      const std::function<void(ReplicatedSystem*)>& mid_run) {
   Simulator sim;
   runtime::SimRuntime rt{&sim};
-  SystemConfig system_config;
-  system_config.replica_count = 3;
-  system_config.level = ConsistencyLevel::kLazyCoarse;
-  system_config.certifier.shard_lanes = 2;
-  system_config.obs.audit = true;
-  system_config.obs.event_log_capacity = size_t{1} << 20;
+  config.obs.audit = true;
+  config.obs.event_log_capacity = size_t{1} << 20;
   auto system_or = ReplicatedSystem::Create(
-      &rt, system_config,
+      &rt, config,
       [&workload](Database* db) { return workload.BuildSchema(db); },
       [&workload](const Database& db, sql::TransactionRegistry* reg) {
         return workload.DefineTransactions(db, reg);
       });
-  ASSERT_TRUE(system_or.ok()) << system_or.status().ToString();
-  auto system = std::move(*system_or);
-  ASSERT_TRUE(system->sharded());
-  // "alpha" and "beta" land on different shards of the two-lane map.
-  ASSERT_NE(system->shard_map()->ShardOf(0), system->shard_map()->ShardOf(1));
+  SCREP_CHECK_MSG(system_or.ok(), system_or.status().ToString());
+  RunOutcome out;
+  out.system = std::move(*system_or);
+  ReplicatedSystem* system = out.system.get();
 
   MetricsCollector metrics(/*warmup=*/0);
   Rng seed_rng(7);
   std::vector<std::unique_ptr<ClientDriver>> clients;
   for (int c = 0; c < 6; ++c) {
     clients.push_back(std::make_unique<ClientDriver>(
-        system.get(), &metrics,
+        system, &metrics,
         workload.CreateGenerator(system->registry(), c, seed_rng.Fork()), c,
         ClientConfig{}, seed_rng.Fork()));
   }
-  system->SetClientCallback([&clients](const TxnResponse& r) {
+  std::set<TxnId> acknowledged;
+  system->SetClientCallback([&clients, &acknowledged](const TxnResponse& r) {
+    if (r.outcome == TxnOutcome::kCommitted && !r.read_only) {
+      acknowledged.insert(r.txn_id);
+    }
     clients[static_cast<size_t>(r.client_id)]->OnResponse(r);
   });
   for (auto& client : clients) client->Start();
+  if (mid_run) sim.Schedule(Seconds(1), [&]() { mid_run(system); });
   const SimTime end = Seconds(2);
-  sim.Schedule(end, [&clients, &system]() {
+  sim.Schedule(end, [&clients, system]() {
     for (auto& client : clients) client->Stop();
     system->obs()->StopSampling();
   });
   sim.RunUntil(end);
   sim.RunAll();
+  out.acknowledged_updates = static_cast<int64_t>(acknowledged.size());
 
-  const ShardedCertifier* certifier = system->sharded_certifier();
-  ASSERT_NE(certifier, nullptr);
+  const obs::Auditor* auditor = system->obs()->auditor();
+  EXPECT_GT(auditor->checks_performed(), 0);
+  EXPECT_TRUE(auditor->ok()) << auditor->Summary();
+  Certifier* certifier = system->certifier();
+  std::set<TxnId> logged;
+  for (ShardId s = 0; s < certifier->lane_count(); ++s) {
+    std::vector<WriteSet> records;
+    EXPECT_TRUE(certifier->wal(s).ReadAll(&records).ok());
+    for (const WriteSet& ws : records) logged.insert(ws.txn_id);
+  }
+  for (TxnId txn : acknowledged) {
+    EXPECT_EQ(logged.count(txn), 1u) << "acknowledged txn " << txn
+                                     << " missing from the certifier log";
+  }
+  Database* reference = system->replica(0)->db();
+  for (ReplicaId r = 0; r < system->replica_count(); ++r) {
+    const Proxy* proxy = system->replica(r)->proxy();
+    for (ShardId s : proxy->hosted_shards()) {
+      EXPECT_EQ(proxy->ShardPublished(s), certifier->CommitVersion(s))
+          << "replica " << r << " lane " << s;
+    }
+    if (!config.hosted_shards.empty()) continue;
+    Database* db = system->replica(r)->db();
+    for (size_t t = 0; t < db->TableCount(); ++t) {
+      const auto id = static_cast<TableId>(t);
+      std::vector<std::string> want, got;
+      reference->table(id)->Scan(reference->CommittedVersion(),
+                                 [&want](int64_t, const Row& row) {
+                                   want.push_back(RowToString(row));
+                                   return true;
+                                 });
+      db->table(id)->Scan(db->CommittedVersion(),
+                          [&got](int64_t, const Row& row) {
+                            got.push_back(RowToString(row));
+                            return true;
+                          });
+      EXPECT_EQ(want, got) << "replica " << r << " table " << t;
+    }
+  }
+  return out;
+}
+
+SystemConfig FourLanes(int replicas) {
+  SystemConfig config;
+  config.replica_count = replicas;
+  config.level = ConsistencyLevel::kLazyCoarse;
+  config.certifier.shard_lanes = 4;
+  return config;
+}
+
+TEST(ShardedSystemTest, CrossShardWorkloadDrivesTheSequencerAuditClean) {
+  SystemConfig config = FourLanes(3);
+  config.certifier.shard_lanes = 2;
+  RunOutcome run = RunAudited(MultiTableWorkload(2), config, nullptr);
+  ReplicatedSystem* system = run.system.get();
+  // t0 and t1 land on different lanes of the two-lane map.
+  ASSERT_NE(system->shard_map()->ShardOf(0), system->shard_map()->ShardOf(1));
+  const Certifier* certifier = system->certifier();
   EXPECT_GT(certifier->certified_count(), 0);
   EXPECT_GT(certifier->sequenced_count(), 0)
       << "the two-table transaction mix should have crossed shards";
-  const obs::Auditor* auditor = system->obs()->auditor();
-  ASSERT_NE(auditor, nullptr);
-  EXPECT_GT(auditor->checks_performed(), 0);
-  EXPECT_TRUE(auditor->ok()) << auditor->Summary();
   // Both lanes advanced and the auditor tracked each one.
+  const obs::Auditor* auditor = system->obs()->auditor();
   for (ShardId s : {0, 1}) {
-    EXPECT_GT(certifier->LaneCommitVersion(s), 0) << "shard " << s;
+    EXPECT_GT(certifier->CommitVersion(s), 0) << "shard " << s;
     EXPECT_EQ(auditor->shard_max_commit_version(s),
-              certifier->LaneCommitVersion(s))
+              certifier->CommitVersion(s))
         << "shard " << s;
+  }
+}
+
+TEST(ShardedSystemTest, RefreshBatchingWithFourLanesAuditsCleanly) {
+  // One coalesced message per (target, lane stream) per force, full and
+  // partial replication, with and without refresh credits.
+  for (const bool partial : {false, true}) {
+    for (const size_t credits : {size_t{0}, size_t{4}}) {
+      SCOPED_TRACE(std::string(partial ? "partial" : "full") +
+                   " replication, credit window " + std::to_string(credits));
+      SystemConfig config = FourLanes(4);
+      config.certifier.refresh_batching = true;
+      config.certifier.refresh_credit_window = credits;
+      if (partial) config.hosted_shards = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};
+      RunOutcome run = RunAudited(MultiTableWorkload(4), config, nullptr);
+      const Certifier* certifier = run.system->certifier();
+      EXPECT_GT(run.acknowledged_updates, 0);
+      EXPECT_GT(certifier->sequenced_count(), 0);
+      EXPECT_EQ(certifier->deferred_refresh_total(), 0u);
+      // Batching coalesced: fewer refresh messages than writesets sent.
+      int64_t messages = 0;
+      for (ReplicaId r = 0; r < run.system->replica_count(); ++r) {
+        for (ShardId s = 0; s < certifier->lane_count(); ++s) {
+          if (auto* ch = run.system->refresh_channel(r, s)) {
+            messages += ch->stats().sent;
+          }
+        }
+      }
+      EXPECT_GT(messages, 0);
+      EXPECT_LT(messages, certifier->certified_count() *
+                              (run.system->replica_count() - 1));
+    }
+  }
+}
+
+TEST(ShardedSystemTest, StandbyTakesOverFourLanesMidRun) {
+  // The standby runs the identical K-lane stream; the primary crashes
+  // mid-run with cross-lane commits in flight.  Replicas catch up lane by
+  // lane from the promoted certifier and resubmit pending decisions.
+  for (const bool batching : {false, true}) {
+    SCOPED_TRACE(batching ? "refresh batching" : "per-writeset fan-out");
+    SystemConfig config = FourLanes(3);
+    config.standby_certifier = true;
+    config.certifier.refresh_batching = batching;
+    DbVersion failover_lane0 = kNoVersion;
+    RunOutcome run = RunAudited(
+        MultiTableWorkload(4), config, [&](ReplicatedSystem* system) {
+          system->CrashCertifier();
+          failover_lane0 = system->certifier()->CommitVersion(0);
+        });
+    ASSERT_TRUE(run.system->CertifierFailedOver());
+    const Certifier* certifier = run.system->certifier();
+    EXPECT_GT(failover_lane0, 0);
+    EXPECT_GT(certifier->CommitVersion(0), failover_lane0)
+        << "commits must continue on the promoted certifier";
+    EXPECT_GT(certifier->sequenced_count(), 0);
+    EXPECT_GT(run.acknowledged_updates, 0);
+  }
+}
+
+TEST(ShardedSystemTest, CrossLaneCommitSurvivesFailoverAtAnyInstant) {
+  // One cross-lane update, with the primary crashing at 40 instants
+  // spread over the transaction's life (measured by a run without a
+  // crash): before its forward, between the forward and the lanes'
+  // forces, after the forces, after the announcement.  Depending on the
+  // instant, the origin learns of its commit from the promoted
+  // certifier's announcement, from a replayed decision, or first through
+  // the catch-up stream (its own writeset arriving as a refresh, still
+  // queued or — with free refresh applies — already published).  Every
+  // instant must end with the one commit acknowledged and both replicas
+  // converged.
+  const MultiTableWorkload workload(2);
+  // Runs the update, crashing the primary at `crash_at` (never when
+  // negative); returns when the client got its response.
+  auto run = [&workload](bool free_refresh, SimTime crash_at) -> SimTime {
+    Simulator sim;
+    runtime::SimRuntime rt{&sim};
+    SystemConfig config = FourLanes(2);
+    config.certifier.shard_lanes = 2;
+    config.standby_certifier = true;
+    if (free_refresh) {
+      config.proxy.refresh_base = 0;
+      config.proxy.refresh_per_op = 0;
+    }
+    auto system_or = ReplicatedSystem::Create(
+        &rt, config,
+        [&workload](Database* db) { return workload.BuildSchema(db); },
+        [&workload](const Database& db, sql::TransactionRegistry* reg) {
+          return workload.DefineTransactions(db, reg);
+        });
+    SCREP_CHECK_MSG(system_or.ok(), system_or.status().ToString());
+    auto system = std::move(*system_or);
+    std::vector<TxnResponse> responses;
+    SimTime acked_at = 0;
+    system->SetClientCallback([&](const TxnResponse& r) {
+      responses.push_back(r);
+      acked_at = sim.Now();
+    });
+    TxnRequest request;
+    request.txn_id = system->NextTxnId();
+    request.type = *system->registry().Find("update_pair_t0");
+    request.params = {{Value(1), Value(3)}, {Value(1), Value(4)}};
+    system->Submit(std::move(request));
+    if (crash_at >= 0) {
+      sim.RunUntil(crash_at);
+      system->CrashCertifier();
+    }
+    sim.RunAll();
+    EXPECT_EQ(responses.size(), 1u);
+    if (!responses.empty()) {
+      EXPECT_EQ(responses[0].outcome, TxnOutcome::kCommitted);
+    }
+    for (ReplicaId r = 0; r < 2; ++r) {
+      for (ShardId s : {0, 1}) {
+        EXPECT_EQ(system->replica(r)->proxy()->ShardPublished(s), 1)
+            << "replica " << r << " lane " << s;
+      }
+    }
+    return acked_at;
+  };
+  for (const bool free_refresh : {false, true}) {
+    const SimTime life = run(free_refresh, -1);
+    ASSERT_GT(life, 0);
+    for (int i = 1; i <= 40; ++i) {
+      const SimTime crash_at = life * i / 40;
+      SCOPED_TRACE("crash at " + std::to_string(crash_at) + " us" +
+                   (free_refresh ? ", free refresh applies" : ""));
+      run(free_refresh, crash_at);
+    }
   }
 }
 

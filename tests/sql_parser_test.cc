@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace screp::sql {
 namespace {
 
@@ -126,6 +128,10 @@ struct BadCase {
   const char* name;
   const char* sql;
 };
+
+// gtest names each case "<name> # GetParam() = <printed param>"; printing
+// the SQL keeps those names stable (the default prints the pointers).
+void PrintTo(const BadCase& c, std::ostream* os) { *os << '"' << c.sql << '"'; }
 
 class ParserErrorTest : public ::testing::TestWithParam<BadCase> {};
 

@@ -266,7 +266,7 @@ TEST_F(SystemTest, CertifierWalMatchesCommittedVersions) {
   }
   sim_->RunAll();
   std::vector<WriteSet> log;
-  ASSERT_TRUE(system_->certifier()->wal().ReadAll(&log).ok());
+  ASSERT_TRUE(system_->certifier()->wal(0).ReadAll(&log).ok());
   EXPECT_EQ(static_cast<DbVersion>(log.size()),
             system_->certifier()->CommitVersion());
   for (size_t i = 0; i < log.size(); ++i) {

@@ -51,7 +51,7 @@ echo "== hot-path A/B microbench =="
 
 echo "== partitioned certification sweep =="
 # Self-checking: exits non-zero unless 4-lane certified throughput is at
-# least 2.5x the single-stream Certifier on a shard-disjoint workload
+# least 2.5x the one-lane certifier on a shard-disjoint workload
 # AND the K=4 partial-replication end-to-end run is audit-clean.
 ./build/bench/micro_components --shard-sweep=build/BENCH_shards.json
 
@@ -117,6 +117,21 @@ done
 wait "$SERVER_PID"
 trap - EXIT
 echo "server smoke: ok"
+
+echo "== perfbench smoke (wall clock) =="
+# perfbench builds outside the tier-1 tree (perfbench/CMakeLists.txt) and
+# reads the middleware's metric names (certifier.certified,
+# certifier.forces, refresh.rN, ...) in its output checks, so a src/
+# refactor can break it unnoticed.  One traced run per workload: run.py
+# exits non-zero on a failed build, a failed output check or an audit
+# violation.  30 s (BENCHMARK.json's run length, ~100 s in all) gives
+# every p99 the 1000 samples perfbench's percentile check requires, with
+# ~40% to spare; a 2 s traced run fails that check on every commit.
+for workload in kv_tcp tpcw_shopping kv_eager_writes; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 30 \
+    --trace 1 >/dev/null
+  echo "perfbench $workload: ok"
+done
 
 echo "== bench regression gate =="
 # Compares the fresh BENCH_*.json against the committed baselines with
