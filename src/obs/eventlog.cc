@@ -151,35 +151,19 @@ std::string Event::ToJson() const {
   return out.str();
 }
 
-EventLog::EventLog(size_t capacity) : ring_(capacity > 0 ? capacity : 1) {}
+EventLog::EventLog(size_t capacity) : ring_(capacity) {}
 
 void EventLog::Append(Event event) {
   if (!enabled_) return;
   ++appended_;
   for (const Sink& sink : sinks_) sink(event);
-  if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = std::move(event);
-    ++size_;
-    return;
-  }
-  ring_[head_] = std::move(event);
-  head_ = (head_ + 1) % ring_.size();
-  ++dropped_;
-}
-
-std::vector<Event> EventLog::Events() const {
-  std::vector<Event> events;
-  events.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    events.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return events;
+  ring_.Push(std::move(event));
 }
 
 std::string EventLog::ToJsonl() const {
   std::string out;
-  for (size_t i = 0; i < size_; ++i) {
-    out += ring_[(head_ + i) % ring_.size()].ToJson();
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    out += ring_[i].ToJson();
     out += '\n';
   }
   return out;
@@ -198,8 +182,8 @@ Status EventLog::WriteJsonl(const std::string& path) const {
 
 History EventLog::ReplayHistory() const {
   History history;
-  for (size_t i = 0; i < size_; ++i) {
-    const Event& e = ring_[(head_ + i) % ring_.size()];
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const Event& e = ring_[i];
     if (e.kind != EventKind::kTxnFinished) continue;
     TxnRecord record;
     record.id = e.txn;

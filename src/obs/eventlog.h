@@ -43,6 +43,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "consistency/history.h"
+#include "obs/ring.h"
 
 namespace screp::obs {
 
@@ -145,7 +146,8 @@ struct Event {
   std::string ToJson() const;
 };
 
-/// Bounded, append-only event collector with live sinks.
+/// Bounded, append-only event collector with live sinks.  Storage grows
+/// with the events retained (see obs/ring.h), not with `capacity`.
 class EventLog {
  public:
   explicit EventLog(size_t capacity);
@@ -162,12 +164,12 @@ class EventLog {
   void AddSink(Sink sink) { sinks_.push_back(std::move(sink)); }
 
   /// Events currently retained, oldest first.
-  std::vector<Event> Events() const;
+  std::vector<Event> Events() const { return ring_.ToVector(); }
 
-  size_t size() const { return size_; }
-  size_t capacity() const { return ring_.size(); }
+  size_t size() const { return ring_.size(); }
+  size_t capacity() const { return ring_.capacity(); }
   /// Events evicted because the ring was full (sinks still saw them).
-  int64_t dropped() const { return dropped_; }
+  int64_t dropped() const { return ring_.dropped(); }
   /// Total events appended while enabled (retained + evicted).
   int64_t appended() const { return appended_; }
 
@@ -184,10 +186,7 @@ class EventLog {
 
  private:
   bool enabled_ = false;
-  std::vector<Event> ring_;
-  size_t head_ = 0;  ///< index of the oldest event
-  size_t size_ = 0;
-  int64_t dropped_ = 0;
+  Ring<Event> ring_;
   int64_t appended_ = 0;
   std::vector<Sink> sinks_;
 };

@@ -4,7 +4,10 @@
 //
 // Everything is off by default (ObsConfig{}) and the instrumentation in
 // the components is null-/enabled-guarded, so the default configuration
-// adds nothing to a run and never perturbs virtual-time results.
+// never perturbs virtual-time results.  What it costs is one branch per
+// instrumentation site and a few KiB of empty bookkeeping: the span and
+// event rings allocate only as they retain (obs/ring.h), so the
+// capacities below are bounds, not up-front allocations.
 
 #ifndef SCREP_OBS_OBSERVABILITY_H_
 #define SCREP_OBS_OBSERVABILITY_H_

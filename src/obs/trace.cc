@@ -8,39 +8,15 @@
 
 namespace screp::obs {
 
-Tracer::Tracer(size_t capacity) : ring_(capacity > 0 ? capacity : 1) {}
+Tracer::Tracer(size_t capacity) : ring_(capacity) {}
 
 void Tracer::Add(const TraceSpan& span) {
   for (const Sink& sink : sinks_) sink(span);
-  if (!enabled_) return;
-  if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = span;
-    ++size_;
-    return;
-  }
-  // Full: overwrite the oldest span.
-  ring_[head_] = span;
-  head_ = (head_ + 1) % ring_.size();
-  ++dropped_;
+  if (enabled_) ring_.Push(span);
 }
 
 void Tracer::SetProcessName(int32_t pid, std::string name) {
   process_names_[pid] = std::move(name);
-}
-
-std::vector<TraceSpan> Tracer::Spans() const {
-  std::vector<TraceSpan> spans;
-  spans.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    spans.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return spans;
-}
-
-void Tracer::Clear() {
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
 }
 
 std::string Tracer::ToChromeJson() const {
@@ -54,8 +30,8 @@ std::string Tracer::ToChromeJson() const {
         << ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\""
         << JsonEscape(name) << "\"}}";
   }
-  for (size_t i = 0; i < size_; ++i) {
-    const TraceSpan& span = ring_[(head_ + i) % ring_.size()];
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const TraceSpan& span = ring_[i];
     if (!first) out << ",";
     first = false;
     out << "{\"name\":\"" << JsonEscape(span.name) << "\",\"cat\":\""

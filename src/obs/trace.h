@@ -8,10 +8,10 @@
 // whole run can be dumped as Chrome trace-event JSON and opened in
 // chrome://tracing or Perfetto.
 //
-// The buffer is a fixed-capacity ring: when full, the oldest spans are
-// overwritten and counted as dropped.  A disabled tracer (the default)
-// ignores Add() after one branch, so instrumentation can stay in place
-// permanently.
+// The buffer is a bounded ring (obs/ring.h): when full, the oldest spans
+// are overwritten and counted as dropped; until then its storage holds
+// only the spans recorded.  A disabled tracer (the default) ignores Add()
+// after one branch, so instrumentation can stay in place permanently.
 
 #ifndef SCREP_OBS_TRACE_H_
 #define SCREP_OBS_TRACE_H_
@@ -25,6 +25,7 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "obs/ring.h"
 
 namespace screp::obs {
 
@@ -80,15 +81,16 @@ class Tracer {
   void SetProcessName(int32_t pid, std::string name);
 
   /// Spans currently retained, oldest first.
-  std::vector<TraceSpan> Spans() const;
+  std::vector<TraceSpan> Spans() const { return ring_.ToVector(); }
 
-  size_t size() const { return size_; }
-  size_t capacity() const { return ring_.size(); }
+  size_t size() const { return ring_.size(); }
+  size_t capacity() const { return ring_.capacity(); }
   /// Spans evicted because the ring was full.
-  int64_t dropped() const { return dropped_; }
+  int64_t dropped() const { return ring_.dropped(); }
 
-  /// Discards all recorded spans (not the process names).
-  void Clear();
+  /// Discards all recorded spans and the drop count (not the process
+  /// names).
+  void Clear() { ring_.Clear(); }
 
   /// The trace as Chrome trace-event JSON (the {"traceEvents":[...]}
   /// object form).
@@ -100,10 +102,7 @@ class Tracer {
  private:
   bool enabled_ = false;
   std::vector<Sink> sinks_;
-  std::vector<TraceSpan> ring_;
-  size_t head_ = 0;  ///< index of the oldest span
-  size_t size_ = 0;
-  int64_t dropped_ = 0;
+  Ring<TraceSpan> ring_;
   std::map<int32_t, std::string> process_names_;
 };
 

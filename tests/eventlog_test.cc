@@ -48,6 +48,41 @@ TEST(EventLogTest, RingEvictsOldestButSinksSeeEveryEvent) {
   EXPECT_EQ(seen, (std::vector<TxnId>{1, 2, 3, 4, 5}));
 }
 
+TEST(EventLogTest, ZeroCapacityKeepsOnlyTheNewestEvent) {
+  EventLog log(0);
+  log.set_enabled(true);
+  EXPECT_EQ(log.capacity(), 1u);
+  for (TxnId t = 1; t <= 3; ++t) log.Append(MakeRoute(t, t * 10));
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.Events()[0].txn, 3);
+  EXPECT_EQ(log.dropped(), 2);
+  EXPECT_EQ(log.appended(), 3);
+}
+
+TEST(EventLogTest, GrowsToCapacityThenWrapsOldestFirst) {
+  EventLog log(40);
+  log.set_enabled(true);
+  int sink_calls = 0;
+  log.AddSink([&sink_calls](const Event&) { ++sink_calls; });
+  for (TxnId t = 1; t <= 40; ++t) log.Append(MakeRoute(t, t));
+  EXPECT_EQ(log.size(), 40u);
+  EXPECT_EQ(log.dropped(), 0);
+  for (TxnId t = 41; t <= 100; ++t) log.Append(MakeRoute(t, t));
+  EXPECT_EQ(log.size(), 40u);
+  EXPECT_EQ(log.capacity(), 40u);
+  EXPECT_EQ(log.dropped(), 60);
+  EXPECT_EQ(log.appended(), 100);
+  EXPECT_EQ(sink_calls, 100);
+  const std::vector<Event> events = log.Events();
+  ASSERT_EQ(events.size(), 40u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].txn, static_cast<TxnId>(61 + i));
+  }
+  // Every export walks the same oldest-first order.
+  const std::string jsonl = log.ToJsonl();
+  EXPECT_EQ(jsonl.substr(0, jsonl.find('\n')), events.front().ToJson());
+}
+
 TEST(EventLogTest, JsonlLinesParseAndEscapeDetails) {
   EventLog log(8);
   log.set_enabled(true);

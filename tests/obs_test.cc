@@ -1,15 +1,19 @@
 // Unit tests for the observability layer: metrics registry (instruments,
-#include "runtime/sim_runtime.h"
-// snapshot, JSON round-trip), the span tracer (ring eviction, Chrome
-// trace-event export), the periodic gauge sampler, and the JSON helpers.
+// snapshot, JSON round-trip), the bounded ring and the span tracer built on
+// it (growth, eviction, Clear, sinks, Chrome trace-event export), the
+// periodic gauge sampler, and the JSON helpers.
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "obs/json.h"
 #include "obs/metrics_registry.h"
 #include "obs/observability.h"
+#include "obs/ring.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "runtime/sim_runtime.h"
 #include "sim/simulator.h"
 
 namespace screp::obs {
@@ -135,6 +139,112 @@ TEST(TracerTest, RingEvictsOldestSpansAndCountsDrops) {
   EXPECT_EQ(spans[3].start, 60);
 
   tracer.Clear();
+  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_EQ(tracer.dropped(), 0);
+}
+
+std::vector<int64_t> Starts(const Tracer& tracer) {
+  std::vector<int64_t> starts;
+  for (const TraceSpan& span : tracer.Spans()) starts.push_back(span.start);
+  return starts;
+}
+
+TEST(RingTest, ZeroCapacityIsClampedToOne) {
+  Ring<int> ring(0);
+  EXPECT_EQ(ring.capacity(), 1u);
+  EXPECT_EQ(ring.size(), 0u);
+  for (int i = 1; i <= 3; ++i) ring.Push(i);
+  EXPECT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring.dropped(), 2);
+  EXPECT_EQ(ring[0], 3);
+
+  Tracer tracer(0);
+  tracer.set_enabled(true);
+  EXPECT_EQ(tracer.capacity(), 1u);
+  for (int64_t i = 1; i <= 3; ++i) tracer.Add({.name = "s", .start = i});
+  EXPECT_EQ(Starts(tracer), (std::vector<int64_t>{3}));
+  EXPECT_EQ(tracer.dropped(), 2);
+}
+
+TEST(RingTest, GrowsToCapacityThenWrapsOldestFirst) {
+  // 40 is not a power of two: growth steps 16 -> 32 -> 40, then wraps.
+  Ring<int> ring(40);
+  for (int i = 1; i <= 40; ++i) {
+    ring.Push(i);
+    EXPECT_EQ(ring.size(), static_cast<size_t>(i));
+  }
+  EXPECT_EQ(ring.dropped(), 0);
+  for (int i = 41; i <= 100; ++i) ring.Push(i);
+  EXPECT_EQ(ring.size(), 40u);
+  EXPECT_EQ(ring.capacity(), 40u);
+  EXPECT_EQ(ring.dropped(), 60);
+  std::vector<int> expected;
+  for (int i = 61; i <= 100; ++i) expected.push_back(i);
+  EXPECT_EQ(ring.ToVector(), expected);
+  for (size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i], expected[i]);
+  }
+}
+
+TEST(RingTest, HoldsMoveOnlyElements) {
+  Ring<std::unique_ptr<int>> ring(2);
+  for (int i = 1; i <= 3; ++i) ring.Push(std::make_unique<int>(i));
+  EXPECT_EQ(*ring[0], 2);
+  EXPECT_EQ(*ring[1], 3);
+}
+
+TEST(TracerTest, ClearThenRefillPastTheOldSizeKeepsOrderAndDrops) {
+  Tracer tracer(5);
+  tracer.set_enabled(true);
+  for (int64_t i = 1; i <= 3; ++i) tracer.Add({.name = "s", .start = i});
+  EXPECT_EQ(tracer.size(), 3u);
+  tracer.Clear();
+  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_EQ(tracer.dropped(), 0);
+  EXPECT_EQ(tracer.capacity(), 5u);
+
+  for (int64_t i = 11; i <= 17; ++i) tracer.Add({.name = "s", .start = i});
+  EXPECT_EQ(tracer.size(), 5u);
+  EXPECT_EQ(tracer.dropped(), 2);
+  EXPECT_EQ(Starts(tracer), (std::vector<int64_t>{13, 14, 15, 16, 17}));
+
+  // Clear after a wrap, then a partial refill: the old head is gone.
+  tracer.Clear();
+  for (int64_t i = 21; i <= 23; ++i) tracer.Add({.name = "s", .start = i});
+  EXPECT_EQ(Starts(tracer), (std::vector<int64_t>{21, 22, 23}));
+  EXPECT_EQ(tracer.dropped(), 0);
+}
+
+TEST(TracerTest, GrowsToCapacityThenWrapsOldestFirst) {
+  Tracer tracer(40);
+  tracer.set_enabled(true);
+  for (int64_t i = 1; i <= 100; ++i) tracer.Add({.name = "s", .start = i});
+  EXPECT_EQ(tracer.size(), 40u);
+  EXPECT_EQ(tracer.capacity(), 40u);
+  EXPECT_EQ(tracer.dropped(), 60);
+  std::vector<int64_t> expected;
+  for (int64_t i = 61; i <= 100; ++i) expected.push_back(i);
+  EXPECT_EQ(Starts(tracer), expected);
+}
+
+TEST(TracerTest, SinksSeeEverySpanWhileTheRingKeepsTheLastN) {
+  Tracer tracer(3);
+  tracer.set_enabled(true);
+  std::vector<int64_t> seen;
+  tracer.AddSink([&seen](const TraceSpan& s) { seen.push_back(s.start); });
+  for (int64_t i = 1; i <= 7; ++i) tracer.Add({.name = "s", .start = i});
+  EXPECT_EQ(seen, (std::vector<int64_t>{1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(Starts(tracer), (std::vector<int64_t>{5, 6, 7}));
+  EXPECT_EQ(tracer.dropped(), 4);
+}
+
+TEST(TracerTest, DisabledTracerStillFeedsItsSinks) {
+  Tracer tracer(8);
+  std::vector<int64_t> seen;
+  tracer.AddSink([&seen](const TraceSpan& s) { seen.push_back(s.start); });
+  EXPECT_TRUE(tracer.active());
+  for (int64_t i = 1; i <= 3; ++i) tracer.Add({.name = "s", .start = i});
+  EXPECT_EQ(seen, (std::vector<int64_t>{1, 2, 3}));
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_EQ(tracer.dropped(), 0);
 }

@@ -113,6 +113,15 @@ done
 # disconnect with an open transaction; server must reject, clean up,
 # and keep serving.
 ./build/tools/screp_cli --port "$SMOKE_PORT" --abuse
+# Footprint guard: the server's peak RSS after the closed loop.  Measured
+# ~9.7 MB (4-vCPU x86-64 VM, RelWithDebInfo); eagerly allocated span and
+# event rings add ~24 MB, which this bound catches in seconds.
+SERVER_HWM_KB=$(awk '/^VmHWM:/ {print $2}' "/proc/$SERVER_PID/status")
+echo "screp_server VmHWM: ${SERVER_HWM_KB} kB (bound 24576 kB)"
+if (( SERVER_HWM_KB > 24576 )); then
+  echo "screp_server peak RSS ${SERVER_HWM_KB} kB exceeds 24 MB" >&2
+  exit 1
+fi
 ./build/tools/screp_cli --port "$SMOKE_PORT" --shutdown
 wait "$SERVER_PID"
 trap - EXIT
