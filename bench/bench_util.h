@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -188,6 +189,13 @@ inline void ApplyNetworkOptions(const BenchOptions& options,
   if (options.refresh_batch) system->certifier.refresh_batching = true;
 }
 
+/// Span-ring capacity for a run whose trace is exported: every span of the
+/// run.  The ring allocates only what it retains (obs/ring.h), so keeping
+/// the whole run costs what the trace file holds anyway, and the exported
+/// trace starts at the run's start instead of wherever a fixed ring had
+/// wrapped to.
+inline constexpr size_t kTraceWholeRun = std::numeric_limits<size_t>::max();
+
 /// Copies the observability output options into one run's config, tagging
 /// the paths with a per-run label.
 inline void ApplyObservability(const BenchOptions& options,
@@ -198,6 +206,7 @@ inline void ApplyObservability(const BenchOptions& options,
   }
   if (!options.trace_json.empty()) {
     config->trace_json_path = TaggedPath(options.trace_json, tag);
+    config->system.obs.trace_capacity = kTraceWholeRun;
   }
   if (options.audit) config->audit = true;
   if (!options.audit_json.empty()) {

@@ -622,7 +622,10 @@ int Main(int argc, char** argv) {
   SystemConfig sys_config;
   sys_config.level = ConsistencyLevel::kLazyCoarse;
   sys_config.replica_count = 4;
-  if (!options.trace_json.empty()) sys_config.obs.tracing = true;
+  if (!options.trace_json.empty()) {
+    sys_config.obs.tracing = true;
+    sys_config.obs.trace_capacity = kTraceWholeRun;
+  }
   if (!options.metrics_json.empty()) sys_config.obs.sample_period = Millis(500);
   if (options.audit) sys_config.obs.audit = true;
   if (options.health) sys_config.obs.health = true;
@@ -687,7 +690,8 @@ int Main(int argc, char** argv) {
       "\nThe failure spike at the crash is the failed-over in-flight\n"
       "transactions (clients retried them on the survivors); the cluster\n"
       "keeps serving throughout, and the recovered replica rejoins after\n"
-      "catching up from the certifier's log.\n");
+      "catching up from the certifier's log, or from a peer's snapshot\n"
+      "once the log no longer reaches back to it.\n");
 
   if (!options.audit_json.empty()) {
     const Status st = system->obs()->WriteAuditJson(options.audit_json);

@@ -77,6 +77,7 @@ class Status {
   bool IsConflict() const { return code_ == StatusCode::kConflict; }
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
+  bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
 
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }

@@ -20,8 +20,8 @@ namespace screp {
 /// Per-transaction replica-commit counters, with crash-recovery
 /// membership support: when a replica crashes, globally committing no
 /// longer waits for it (the crashed replica catches up from the
-/// certifier's durable log on recovery, so its commit is guaranteed
-/// eventually — the standard crash-recovery argument).
+/// certifier, or from a peer's snapshot, on recovery, so its commit is
+/// guaranteed eventually — the standard crash-recovery argument).
 class EagerCommitTracker {
  public:
   explicit EagerCommitTracker(int replica_count)

@@ -141,8 +141,8 @@ class Channel {
   /// retransmissions and deliveries, clears the reorder hold, and
   /// fast-forwards the receive cursor to the next send.  Owners call
   /// this when the receiver is resynchronized out of band (recovery /
-  /// partition-heal catch-up from the certifier's durable log), which
-  /// repairs any sequence gap left by retransmissions that gave up.
+  /// partition-heal catch-up from the certifier or a peer's snapshot),
+  /// which repairs any sequence gap left by retransmissions that gave up.
   void Reset() {
     ++epoch_;
     stats_.in_flight = 0;

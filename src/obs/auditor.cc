@@ -93,9 +93,11 @@ void Auditor::OnEvent(const Event& event) {
     case EventKind::kTxnFinished:
       OnFinished(event);
       break;
+    case EventKind::kRecover:
+      if (event.detail == "snapshot") OnSnapshotInstalled(event);
+      break;
     case EventKind::kSessionUpdate:
     case EventKind::kCrash:
-    case EventKind::kRecover:
     case EventKind::kFailover:
     case EventKind::kShed:
     case EventKind::kTimeout:
@@ -264,6 +266,22 @@ void Auditor::OnApply(const Event& e) {
            << e.commit_version << " after " << last << " (expected "
            << (last + 1) << "): writesets out of certification order";
     AddViolation("apply-order", e.txn, e.at, detail.str());
+  }
+  last = std::max(last, e.commit_version);
+}
+
+void Auditor::OnSnapshotInstalled(const Event& e) {
+  // A replica rejoining from a peer's snapshot jumps its apply stream to
+  // the snapshot's version: legal only forward, and only to a version the
+  // certifier has issued.  Its next apply must follow the snapshot.
+  ++checks_;
+  DbVersion& last = applied_[e.replica];
+  if (e.commit_version < last || e.commit_version > max_version_) {
+    std::ostringstream detail;
+    detail << "replica " << e.replica << " installed a snapshot at version "
+           << e.commit_version << " after applying " << last
+           << " with the certifier at " << max_version_;
+    AddViolation("snapshot", e.txn, e.at, detail.str());
   }
   last = std::max(last, e.commit_version);
 }

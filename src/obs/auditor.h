@@ -16,7 +16,10 @@
 //                  snapshots never exceed the latest issued version, and
 //                  an update's snapshot precedes its commit version.
 //  * apply-order — every replica commits writesets in exactly the
-//                  certifier's version order, with no gaps.
+//                  certifier's version order, with no gaps.  A replica
+//                  rejoining from a peer's snapshot (kRecover "snapshot")
+//                  resumes the order at the snapshot's version, which
+//                  must not go backwards or past the certifier.
 //  * fcw         — generalized snapshot isolation first-committer-wins:
 //                  no two committed concurrent updates overlap in their
 //                  writesets.
@@ -142,6 +145,7 @@ class Auditor {
   void OnCertVerdict(const Event& e);
   void OnBegin(const Event& e);
   void OnApply(const Event& e);
+  void OnSnapshotInstalled(const Event& e);
   void OnFinished(const Event& e);
   void OnFinishedSharded(const Event& e);
   /// Latest acknowledged (before `deadline`) committed write to `table`

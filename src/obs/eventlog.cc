@@ -96,7 +96,9 @@ std::string Event::ToJson() const {
           << ",\"read_only\":" << (read_only ? "true" : "false")
           << ",\"snapshot\":" << snapshot << ",\"submit\":" << submit_time
           << ",\"start\":" << start_time;
-      if (commit_version != kNoVersion) out << ",\"version\":" << commit_version;
+      if (commit_version != kNoVersion) {
+        out << ",\"version\":" << commit_version;
+      }
       auto tables = [&out](const char* key, const std::vector<TableId>& ts) {
         out << ",\"" << key << "\":[";
         for (size_t i = 0; i < ts.size(); ++i) {
@@ -120,6 +122,10 @@ std::string Event::ToJson() const {
     case EventKind::kRecover:
     case EventKind::kFailover:
       out << ",\"component\":\"" << JsonEscape(detail) << "\"";
+      // A snapshot rejoin carries the version the replica jumped to.
+      if (commit_version != kNoVersion) {
+        out << ",\"version\":" << commit_version;
+      }
       break;
     case EventKind::kShed:
       out << ",\"where\":\"" << JsonEscape(detail) << "\"";

@@ -16,7 +16,9 @@
 //   kTxnFinished    client acknowledgment, with everything a
 //                   consistency-checker TxnRecord needs
 //   kCrash/kRecover/kFailover
-//                   component failure events
+//                   component failure events; kRecover "snapshot" is a
+//                   replica rejoining from a peer's snapshot (at
+//                   commit_version)
 //   kShed           overload protection refused a request (admission
 //                   queue full, or the certifier's intake bound)
 //   kTimeout        a client abandoned an unacknowledged request and
@@ -96,6 +98,7 @@ struct Event {
   /// kBeginAdmitted: V_local when BEGIN actually executed (the snapshot).
   DbVersion satisfied_version = 0;
   /// kCertVerdict/kApply/kTxnFinished: certified commit version.
+  /// kRecover "snapshot": the version the replica's snapshot holds.
   DbVersion commit_version = kNoVersion;
   /// kCertVerdict/kTxnFinished: the snapshot the writeset was built at.
   DbVersion snapshot = 0;

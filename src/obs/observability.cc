@@ -186,9 +186,12 @@ std::string Observability::TimelineJson() const {
   out += ",\"faults\":[";
   bool first = true;
   for (const Event& event : event_log_.Events()) {
-    if (event.kind != EventKind::kCrash &&
-        event.kind != EventKind::kRecover &&
-        event.kind != EventKind::kFailover) {
+    // Injected faults only: a snapshot rejoin is a recovery step, not a
+    // fault of its own.
+    if ((event.kind != EventKind::kCrash &&
+         event.kind != EventKind::kRecover &&
+         event.kind != EventKind::kFailover) ||
+        event.detail == "snapshot") {
       continue;
     }
     if (!first) out += ",";

@@ -269,6 +269,11 @@ void Certifier::PruneThrough(ShardId s, DbVersion horizon) {
   if (horizon <= l.pruned_through) return;
   l.pruned_through = horizon;
   EvictWindow(s);
+  // No live replica reads the log below its snapshot, and the window
+  // holds everything above the mark, so whole segments at or below the
+  // mark go too.  A replica crashed below them rejoins from a peer's
+  // snapshot instead.
+  l.wal.DropThrough(horizon);
   while (!l.decided_log.empty() && l.decided_log.front().first < horizon) {
     decided_.erase(l.decided_log.front().second);
     l.decided_log.pop_front();
@@ -636,7 +641,7 @@ void Certifier::MarkReplicaDown(ReplicaId replica) {
   replica_down_[idx] = true;
   if (config_.refresh_credit_window > 0) {
     // In-flight refreshes and deferred backlog are moot: the replica
-    // catches up from the durable log on recovery, so its windows reset.
+    // catches up from the certifier on recovery, so its windows reset.
     for (const auto& l : lanes_) {
       l->deferred[idx].clear();
       l->credits[idx] = static_cast<int64_t>(config_.refresh_credit_window);
@@ -682,19 +687,31 @@ bool Certifier::IsReplicaDown(ReplicaId replica) const {
   return replica_down_[static_cast<size_t>(replica)];
 }
 
+DbVersion Certifier::FetchFloor(ShardId s) const {
+  const Lane& l = lane(s);
+  const DbVersion window_floor =
+      l.recent.empty() ? l.v_commit : VersionIn(*l.recent.front(), s) - 1;
+  // Log records carry no shard coordinates: at K > 1 only the window
+  // serves.
+  if (sharded()) return window_floor;
+  // The window holds everything not yet durable, so the log's retained
+  // suffix and the window leave no gap between them.
+  return std::min(window_floor, l.wal.FirstRetained() - 1);
+}
+
 Status Certifier::FetchSince(
     ShardId s, DbVersion from,
     const std::function<void(const WriteSet&)>& sink) const {
   const Lane& l = lane(s);
   if (from >= l.v_commit) return Status::OK();
+  if (from < FetchFloor(s)) {
+    return Status::OutOfRange("catch-up from lane " + std::to_string(s) +
+                              " version " + std::to_string(from) +
+                              " but the certifier retains only from " +
+                              std::to_string(FetchFloor(s) + 1));
+  }
   DbVersion next = from + 1;  // the next version the caller is owed
   if (l.recent.empty() || VersionIn(*l.recent.front(), s) > next) {
-    if (sharded()) {
-      return Status::NotSupported(
-          "catch-up below a lane's conflict window at K > 1");
-    }
-    // The window holds everything not yet durable, so log suffix plus
-    // window leave no gap.
     SCREP_RETURN_NOT_OK(l.wal.ReadSince(from, [&](const WriteSet& ws) {
       sink(ws);
       next = ws.commit_version + 1;

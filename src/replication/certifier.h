@@ -181,8 +181,9 @@ class Certifier {
   void OnCreditReturned(ShardId lane, ReplicaId replica, int credits);
 
   /// Membership: marks a replica crashed. Refresh fan-out skips it, and in
-  /// eager mode pending global commits stop waiting for it (it will catch
-  /// up from this certifier's durable log on recovery).
+  /// eager mode pending global commits stop waiting for it (it catches up
+  /// on recovery from this certifier's log, or from a peer's snapshot
+  /// once the log no longer reaches back to it).
   void MarkReplicaDown(ReplicaId replica);
 
   /// Membership: marks a replica live again (recovery started).
@@ -193,18 +194,25 @@ class Certifier {
 
   /// Catch-up: invokes `sink` with every committed writeset of `lane`
   /// whose lane version is in (from, CommitVersion(lane)], in version
-  /// order: the durable log's suffix when the window does not reach back
-  /// to `from`, then the window.  Log records carry no shard coordinates,
-  /// so at K > 1 only the window can serve (NotSupported below it).
+  /// order: the retained log's suffix when the window does not reach
+  /// back to `from`, then the window.  Below FetchFloor(lane) it returns
+  /// OutOfRange before streaming anything: a caller gets the whole
+  /// suffix or nothing, never a stream with a gap.
   Status FetchSince(ShardId lane, DbVersion from,
                     const std::function<void(const WriteSet&)>& sink) const;
+
+  /// The lowest `from` FetchSince(lane, from) serves: the retained log's
+  /// first record or the window's front, whichever reaches lower, minus
+  /// one.  Log records carry no shard coordinates, so at K > 1 only the
+  /// window counts.  Every live replica's V_local is at or above it.
+  DbVersion FetchFloor(ShardId lane = 0) const;
 
   /// Low-water-mark sweep of one lane.  `horizon` is the oldest lane
   /// snapshot any replica that is not crashed may still certify against;
   /// writesets at or below it can conflict with no such snapshot, so they
-  /// leave the window and its index, and decisions made before it are
-  /// retired.  Later snapshots below the mark are window-aborted.
-  /// Monotone.
+  /// leave the window and its index, decisions made before it are
+  /// retired, and whole log segments at or below it are dropped.  Later
+  /// snapshots below the mark are window-aborted.  Monotone.
   void PruneThrough(ShardId lane, DbVersion horizon);
 
   /// Standby: applies `primary`'s current marks once this certifier's

@@ -150,6 +150,37 @@ void Proxy::Restart() {
   down_ = false;
 }
 
+void Proxy::InstallSnapshot(const DatabaseSnapshot& snapshot) {
+  SCREP_CHECK(!down_);
+  SCREP_CHECK_MSG(!sharded(), "snapshot rejoin needs the single stream");
+  SCREP_CHECK_MSG(active_.empty() && executing_.empty() && executed_.empty(),
+                  "snapshot install into a busy replica");
+  const Status st = db_->InstallSnapshot(snapshot);
+  SCREP_CHECK_MSG(st.ok(), "snapshot install failed: " << st.ToString());
+  const DbVersion v = snapshot.version;
+  SCREP_LOG(kInfo) << "[replica " << id_ << "] installed a snapshot at "
+                   << v;
+  while (!pending_.empty() && pending_.begin()->first <= v) {
+    const PendingApply& apply = pending_.begin()->second;
+    pending_index_.Erase(*apply.ws);
+    if (apply.credited && credit_cb_) credit_cb_(1);
+    pending_.erase(pending_.begin());
+  }
+  contiguous_ = v;
+  if (event_log_ != nullptr && event_log_->enabled()) {
+    obs::Event e;
+    e.kind = obs::EventKind::kRecover;
+    e.at = rt_->Now();
+    e.replica = id_;
+    e.commit_version = v;
+    e.detail = "snapshot";
+    event_log_->Append(std::move(e));
+  }
+  AdvanceContiguous();
+  DispatchApplies();
+  ReleaseBeginWaiters();
+}
+
 void Proxy::EnableSharding(const ShardMap* map,
                            std::vector<ShardId> hosted) {
   SCREP_CHECK_MSG(!eager_, "eager mode is unsupported with sharding");

@@ -212,12 +212,21 @@ class Proxy {
   /// transactions and pending writesets vanish; incoming messages are
   /// ignored until Restart(). The database content survives — the replica
   /// recovers its own durable state — but refresh writesets missed while
-  /// down must be re-fetched from the certifier's log.
+  /// down must be re-fetched from the certifier (or replaced by a peer's
+  /// snapshot once the certifier's log no longer reaches back).
   void Crash();
 
   /// Brings the replica back up (the system then streams the missed
   /// writesets from the certifier into OnRefresh).
   void Restart();
+
+  /// Rejoin by snapshot: replaces the local tables with `snapshot` (a
+  /// live peer's rows at its committed version V) and jumps V_local to V.
+  /// Received writesets at or below V are dropped (returning their
+  /// credits) and the apply pipeline resumes above V; the event log gets
+  /// one kRecover "snapshot" event carrying V, where the auditor's
+  /// apply-order check resumes.  Requires a restarted, idle replica.
+  void InstallSnapshot(const DatabaseSnapshot& snapshot);
 
   bool down() const { return down_; }
   int64_t dropped_while_down() const { return dropped_while_down_; }

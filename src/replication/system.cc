@@ -202,7 +202,7 @@ void ReplicatedSystem::RegisterGauges() {
     registry->RegisterCallbackGauge(prefix + "disk_util", [this, s]() {
       return certifier_->disk(s)->Utilization();
     });
-    // Retention (the log stays append-only until checkpointing).
+    // Retention (the log keeps the segments above the prune mark).
     registry->RegisterCallbackGauge(prefix + "retained_writesets",
                                     [this, s]() {
       return static_cast<double>(certifier_->retained_writesets(s));
@@ -306,6 +306,7 @@ void ReplicatedSystem::BuildChannels() {
         "replica" + std::to_string(r)));
   }
   partitioned_.assign(static_cast<size_t>(config_.replica_count), false);
+  rejoining_.assign(static_cast<size_t>(config_.replica_count), false);
   const int lanes = certifier_->lane_count();
 
   // Handlers read the component pointers through `this`, so a promoted
@@ -626,7 +627,8 @@ void ReplicatedSystem::CrashLoadBalancer() {
   standby->SetTableSets(table_sets_);
   standby->PromoteFrom(certifier_->CommitVersion());
   for (ReplicaId r = 0; r < config_.replica_count; ++r) {
-    if (replicas_[static_cast<size_t>(r)]->proxy()->down()) {
+    const auto idx = static_cast<size_t>(r);
+    if (replicas_[idx]->proxy()->down() || rejoining_[idx]) {
       standby->MarkReplicaDown(r);
     }
   }
@@ -693,6 +695,9 @@ void ReplicatedSystem::CrashCertifier() {
         if (!ReplicaHostsShard(r, s)) continue;
         const DbVersion from =
             proxy->sharded() ? proxy->ShardPublished(s) : proxy->v_local();
+        // Only a replica still rejoining (restarted below the retained
+        // log) can lag the floor; its own recovery catch-up serves it.
+        if (from < certifier_->FetchFloor(s)) continue;
         const Status st = certifier_->FetchSince(
             s, from, [proxy](const WriteSet& ws) { proxy->OnRefresh(ws); });
         SCREP_CHECK_MSG(st.ok(),
@@ -713,6 +718,7 @@ void ReplicatedSystem::CrashReplica(ReplicaId replica) {
   SCREP_LOG(kWarn) << "[system] crash of replica " << replica;
   EmitFaultEvent(obs::EventKind::kCrash, "replica", replica);
   proxy->Crash();
+  std::erase(awaiting_peer_, replica);
   // Crash-stop at the transport: the endpoint closes, so anything still
   // addressed to the dead replica drops at its channel (counted there).
   replica_endpoints_[static_cast<size_t>(replica)]->Close();
@@ -730,6 +736,7 @@ void ReplicatedSystem::RecoverReplica(ReplicaId replica) {
                    << " from V_local=" << proxy->v_local()
                    << " (certifier at " << certifier_->CommitVersion() << ")";
   proxy->Restart();
+  rejoining_[static_cast<size_t>(replica)] = true;
   replica_endpoints_[static_cast<size_t>(replica)]->Open();
   // The refresh channel forgets sequencing state from before the crash:
   // a retransmission that gave up while the endpoint was closed must not
@@ -737,25 +744,86 @@ void ReplicatedSystem::RecoverReplica(ReplicaId replica) {
   // everything missed).
   refresh_channel(replica)->Reset();
   // Resume the refresh flow first so nothing is missed between the catch-
-  // up snapshot and new commits, then stream the missed writesets from
-  // the certifier's durable log (one catch-up round trip).
+  // up and new commits, then catch up one round trip later.
   certifier_->MarkReplicaUp(replica);
-  const DbVersion from = proxy->v_local();
   rt_->Schedule(config_.network.replica_certifier.RoundTrip(),
-                 [this, replica, from]() {
-    Proxy* p = replicas_[static_cast<size_t>(replica)]->proxy();
-    if (p->down()) return;  // crashed again before catch-up started
-    const DbVersion target = certifier_->CommitVersion();
-    const Status st = certifier_->FetchSince(
-        0, from, [p](const WriteSet& ws) { p->OnRefresh(ws); });
-    SCREP_CHECK_MSG(st.ok(), "catch-up fetch failed: " << st.ToString());
-    // The replica rejoins the routing rotation only once it is current:
-    // under the eager scheme nothing else would stop a freshly recovered
-    // replica from serving stale snapshots.
-    p->CallWhenVersionReached(target, [this, replica]() {
-      load_balancer_->MarkReplicaUp(replica);
-    });
-  });
+                [this, replica]() { CatchUpRecovered(replica); });
+}
+
+void ReplicatedSystem::CatchUpRecovered(ReplicaId replica) {
+  Proxy* p = replicas_[static_cast<size_t>(replica)]->proxy();
+  if (p->down()) return;  // crashed again before catch-up started
+  const DbVersion target = certifier_->CommitVersion();
+  if (p->v_local() < certifier_->FetchFloor()) {
+    // The certifier's log no longer reaches back to this replica: rejoin
+    // from the snapshot of a live peer the certifier can stream on from.
+    Replica* peer = SnapshotPeer(replica);
+    if (peer == nullptr) {
+      SCREP_LOG(kWarn) << "[system] replica " << replica << " at V_local="
+                       << p->v_local() << " is below the certifier's log ("
+                       << certifier_->FetchFloor()
+                       << ") and no live peer can give it a snapshot: "
+                          "waiting for one";
+      awaiting_peer_.push_back(replica);
+      return;
+    }
+    const DbVersion from = p->v_local();
+    p->InstallSnapshot(peer->db()->TakeSnapshot());
+    ++snapshot_rejoins_;
+    if (certifier_->eager()) {
+      // The snapshot committed (from, V] here at once.  Report them as the
+      // apply path would: a global commit may be waiting on this replica
+      // for any of them (all lie above the prune mark, so the certifier
+      // still holds them).
+      const DbVersion v = p->v_local();
+      const Status st = certifier_->FetchSince(
+          0, std::max(from, certifier_->FetchFloor()),
+          [this, replica, v](const WriteSet& ws) {
+            if (ws.commit_version <= v) {
+              ch_commit_notice_[static_cast<size_t>(replica)]->Send(
+                  ws.txn_id);
+            }
+          });
+      SCREP_CHECK_MSG(st.ok(), "snapshot commit reports: " << st.ToString());
+    }
+  }
+  const Status st = certifier_->FetchSince(
+      0, p->v_local(), [p](const WriteSet& ws) { p->OnRefresh(ws); });
+  SCREP_CHECK_MSG(st.ok(), "catch-up fetch failed: " << st.ToString());
+  // The replica rejoins the routing rotation only once it is current:
+  // under the eager scheme nothing else would stop a freshly recovered
+  // replica from serving stale snapshots.
+  p->CallWhenVersionReached(target,
+                            [this, replica]() { OnCaughtUp(replica); });
+}
+
+Replica* ReplicatedSystem::SnapshotPeer(ReplicaId replica) const {
+  Replica* best = nullptr;
+  for (ReplicaId r = 0; r < replica_count(); ++r) {
+    Replica* peer = replicas_[static_cast<size_t>(r)].get();
+    const Proxy* proxy = peer->proxy();
+    if (r == replica || proxy->down() || IsReplicaPartitioned(r) ||
+        proxy->v_local() < certifier_->FetchFloor()) {
+      continue;
+    }
+    if (best == nullptr || proxy->v_local() > best->proxy()->v_local()) {
+      best = peer;
+    }
+  }
+  return best;
+}
+
+bool ReplicatedSystem::IsAwaitingPeer(ReplicaId replica) const {
+  return std::find(awaiting_peer_.begin(), awaiting_peer_.end(), replica) !=
+         awaiting_peer_.end();
+}
+
+void ReplicatedSystem::OnCaughtUp(ReplicaId replica) {
+  rejoining_[static_cast<size_t>(replica)] = false;
+  load_balancer_->MarkReplicaUp(replica);
+  std::vector<ReplicaId> waiting;
+  waiting.swap(awaiting_peer_);
+  for (ReplicaId r : waiting) CatchUpRecovered(r);
 }
 
 bool ReplicatedSystem::IsReplicaDown(ReplicaId replica) const {
@@ -835,9 +903,8 @@ void ReplicatedSystem::HealReplicaPartition(ReplicaId replica) {
     // Transactions stuck awaiting decisions re-certify (idempotent at
     // the certifier — already-decided ones get their original verdict).
     p->ResubmitPendingCertifications();
-    p->CallWhenVersionReached(target, [this, replica]() {
-      load_balancer_->MarkReplicaUp(replica);
-    });
+    p->CallWhenVersionReached(target,
+                              [this, replica]() { OnCaughtUp(replica); });
   });
 }
 

@@ -131,9 +131,20 @@ class ReplicatedSystem {
   /// refreshes (and in eager mode stops waiting for it).
   void CrashReplica(ReplicaId replica);
 
-  /// Recovery: the replica comes back, catches up from the certifier's
-  /// durable log, and rejoins routing.
+  /// Recovery: the replica comes back, catches up, and rejoins routing
+  /// once current.  The catch-up streams the certifier's log from its
+  /// V_local while the log still reaches back that far.  Otherwise the
+  /// replica first installs a snapshot of the most current live peer (an
+  /// MVCC read at the peer's committed version V; nobody quiesces) and
+  /// streams from V.  With no such peer it waits, installing nothing,
+  /// until another replica's catch-up completes.
   void RecoverReplica(ReplicaId replica);
+
+  /// Recoveries that rejoined from a peer's snapshot.
+  int64_t snapshot_rejoins() const { return snapshot_rejoins_; }
+  /// True while `replica` has restarted but waits for a live peer to
+  /// take a snapshot from.
+  bool IsAwaitingPeer(ReplicaId replica) const;
 
   /// True while `replica` is crashed.
   bool IsReplicaDown(ReplicaId replica) const;
@@ -146,8 +157,9 @@ class ReplicatedSystem {
   void PartitionReplica(ReplicaId replica);
 
   /// Heals the partition: links reopen, the replica catches up from the
-  /// certifier's durable log (resubmitting transactions stuck awaiting
-  /// decisions), and rejoins routing once current.
+  /// certifier (resubmitting transactions stuck awaiting decisions; a
+  /// partitioned replica still holds the prune horizon, so the retained
+  /// log and window reach back to it), and rejoins routing once current.
   void HealReplicaPartition(ReplicaId replica);
 
   /// True while `replica` is partitioned.
@@ -227,6 +239,16 @@ class ReplicatedSystem {
   /// are not crashed and host it.  Partitioned replicas count: their
   /// transactions may resubmit after the heal.
   void SweepLowWaterMark();
+
+  /// A recovered replica's catch-up, one round trip after it restarted
+  /// (see RecoverReplica).
+  void CatchUpRecovered(ReplicaId replica);
+  /// The live, reachable peer with the highest V_local that the
+  /// certifier can stream on from, or null.
+  Replica* SnapshotPeer(ReplicaId replica) const;
+  /// `replica` is current again: it rejoins routing, and replicas
+  /// waiting for a snapshot peer retry.
+  void OnCaughtUp(ReplicaId replica);
   /// Registers the component state gauges (queue depths, version lag,
   /// utilizations) polled by the sampler.
   void RegisterGauges();
@@ -262,6 +284,13 @@ class ReplicatedSystem {
   History* history_ = nullptr;
   TxnId next_txn_id_ = 1;
   int64_t commits_since_sweep_ = 0;
+  int64_t snapshot_rejoins_ = 0;
+  /// Restarted replicas below the certifier's retained log with no live
+  /// peer to snapshot; retried whenever a catch-up completes.
+  std::vector<ReplicaId> awaiting_peer_;
+  /// Restarted by RecoverReplica and not current yet: out of routing,
+  /// also for a load balancer promoted meanwhile.
+  std::vector<bool> rejoining_;
 
   // ---- The transport fabric (net/channel.h) ----
   // Endpoints: closing one (crash-stop) makes every channel pointed at

@@ -1,6 +1,11 @@
 #include "runtime/thread_runtime.h"
 
+#include <mutex>
 #include <random>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/logging.h"
 
@@ -11,6 +16,22 @@ uint64_t DrawSystemSeed() {
   std::random_device rd;
   return (static_cast<uint64_t>(rd()) << 32) ^ rd();
 }
+
+/// Puts every thread of the process on glibc's main malloc arena.  The
+/// system is usually built (schema, bulk load) on the caller's thread and
+/// then rewritten row by row on the loop thread.  With per-thread arenas
+/// each rewritten row leaves a hole in the builder's arena that the loop
+/// thread cannot reuse and grows the loop's arena instead, so resident
+/// memory climbs with run length until every row has been rewritten once.
+/// One arena reuses those holes; the loop does nearly all the allocating
+/// anyway, and per-thread caches keep small allocations off the arena
+/// lock.  Only threads that start afterwards are affected.
+void ShareOneMallocArena() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, []() { mallopt(M_ARENA_MAX, 1); });
+#endif
+}
 }  // namespace
 
 ThreadRuntime::ThreadRuntime(ThreadRuntimeConfig config)
@@ -19,6 +40,7 @@ ThreadRuntime::ThreadRuntime(ThreadRuntimeConfig config)
       entropy_(config.entropy_seed != 0 ? config.entropy_seed
                                         : DrawSystemSeed()) {
   SCREP_CHECK(config_.worker_threads >= 0);
+  ShareOneMallocArena();
   workers_.reserve(static_cast<size_t>(config_.worker_threads));
   for (int i = 0; i < config_.worker_threads; ++i) {
     workers_.emplace_back([this]() { WorkerMain(); });

@@ -134,6 +134,51 @@ void Database::InstallLocked(const WriteSet& ws, DbVersion version) {
   committed_version_.store(version, std::memory_order_release);
 }
 
+DatabaseSnapshot Database::TakeSnapshot() {
+  const std::unique_ptr<Transaction> reader = Begin();
+  DatabaseSnapshot snapshot;
+  snapshot.version = reader->snapshot();
+  snapshot.tables.resize(TableCount());
+  for (size_t t = 0; t < snapshot.tables.size(); ++t) {
+    auto& rows = snapshot.tables[t];
+    table(static_cast<TableId>(t))
+        ->Scan(snapshot.version, [&rows](int64_t key, const Row& row) {
+          rows.emplace_back(key, row);
+          return true;
+        });
+  }
+  return snapshot;
+}
+
+Status Database::InstallSnapshot(const DatabaseSnapshot& snapshot) {
+  std::lock_guard lock(commit_mutex_);
+  if (snapshot.version < CommittedVersion()) {
+    return Status::InvalidArgument(
+        "snapshot at version " + std::to_string(snapshot.version) +
+        " is older than committed version " +
+        std::to_string(CommittedVersion()));
+  }
+  if (snapshot.tables.size() != TableCount()) {
+    return Status::InvalidArgument("snapshot has " +
+                                   std::to_string(snapshot.tables.size()) +
+                                   " tables, database has " +
+                                   std::to_string(TableCount()));
+  }
+  // Held to the end: no transaction may begin on the half-replaced rows.
+  std::lock_guard snapshots_lock(snapshots_mutex_);
+  if (!active_snapshots_.empty()) {
+    return Status::Aborted("cannot install a snapshot under " +
+                           std::to_string(active_snapshots_.size()) +
+                           " live transaction(s)");
+  }
+  for (size_t t = 0; t < snapshot.tables.size(); ++t) {
+    table(static_cast<TableId>(t))
+        ->ReplaceContents(snapshot.version, snapshot.tables[t]);
+  }
+  committed_version_.store(snapshot.version, std::memory_order_release);
+  return Status::OK();
+}
+
 Status Database::BulkLoad(TableId table_id, Row row) {
   Table* t = table(table_id);
   SCREP_RETURN_NOT_OK(t->schema().ValidateRow(row));

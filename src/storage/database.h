@@ -26,6 +26,14 @@ namespace screp {
 
 class Transaction;
 
+/// Every table's live rows at one committed version: what a replica the
+/// certifier's log no longer reaches back to installs to rejoin.
+struct DatabaseSnapshot {
+  DbVersion version = 0;
+  /// Indexed by TableId: (key, row) in key order.
+  std::vector<std::vector<std::pair<int64_t, Row>>> tables;
+};
+
 /// A collection of MVCC tables plus the local committed-version counter.
 class Database {
  public:
@@ -94,6 +102,18 @@ class Database {
   /// the proxy enforces per-shard application order, this method only
   /// keeps local MVCC versioning dense.
   Status ApplyWriteSetLocal(const WriteSet& ws);
+
+  /// Copies every table's rows at the current committed version.  An
+  /// MVCC read under a registered snapshot: commits carry on meanwhile
+  /// and GC cannot reclaim what it reads.
+  DatabaseSnapshot TakeSnapshot();
+
+  /// Replaces every table's contents with `snapshot`'s rows (rebuilding
+  /// the secondary indexes) and sets CommittedVersion() to its version.
+  /// Refused (nothing changed) while a transaction is live, when the
+  /// snapshot is older than CommittedVersion(), or when its table count
+  /// differs.
+  Status InstallSnapshot(const DatabaseSnapshot& snapshot);
 
   /// Loads a row directly at a version — used only for bulk-population
   /// before the system starts (bypasses versioning checks).

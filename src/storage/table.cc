@@ -111,6 +111,19 @@ void Table::Install(int64_t key, DbVersion version, bool deleted, Row row) {
   if (chain.size() > 1 || deleted) gc_candidates_.insert(key);
 }
 
+void Table::ReplaceContents(
+    DbVersion version, const std::vector<std::pair<int64_t, Row>>& rows) {
+  std::unique_lock lock(mutex_);
+  rows_.clear();
+  gc_candidates_.clear();
+  for (auto& [column, index] : indexes_) index.clear();
+  for (const auto& [key, row] : rows) {
+    if (!indexes_.empty()) IndexInsertLocked(key, row);
+    rows_[key] = Chain{RowVersion{version, /*deleted=*/false, row}};
+  }
+  version_count_ = rows_.size();
+}
+
 void Table::Scan(
     DbVersion snapshot,
     const std::function<bool(int64_t, const Row&)>& visitor) const {
@@ -175,6 +188,10 @@ size_t Table::TruncateVersions(DbVersion oldest_active) {
       rows_.erase(it);
       cit = gc_candidates_.erase(cit);
     } else if (chain.size() == 1 && !chain[0].deleted) {
+      // Back to one version: release the room the updates grew the chain
+      // to, or every key ever updated keeps it for good and the table's
+      // footprint climbs with the number of distinct keys written.
+      chain.shrink_to_fit();
       cit = gc_candidates_.erase(cit);
     } else {
       ++cit;

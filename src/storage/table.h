@@ -61,6 +61,12 @@ class Table {
   /// must be installed in non-decreasing version order (enforced).
   void Install(int64_t key, DbVersion version, bool deleted, Row row);
 
+  /// Replaces the whole table with `rows` (key, row), each installed as
+  /// the single version `version`, and rebuilds the secondary indexes
+  /// from them.  Readers must not hold snapshots below `version`.
+  void ReplaceContents(DbVersion version,
+                       const std::vector<std::pair<int64_t, Row>>& rows);
+
   /// Creates a secondary index on column `column` (by ordinal), backfilled
   /// from all existing row versions. Idempotent.
   Status CreateIndex(int column);

@@ -1,20 +1,20 @@
 #include "storage/wal.h"
 
-#include <algorithm>
-#include <iterator>
-#include <limits>
-
 namespace screp {
 
 uint64_t Wal::Append(const WriteSet& ws) {
   std::lock_guard lock(mutex_);
-  if (durable_count_ % kIndexStride == 0) {
-    index_.emplace_back(ws.commit_version, durable_.size());
+  if (segments_.empty() || segments_.back().records == kSegmentRecords) {
+    segments_.emplace_back();
   }
+  Segment& tail = segments_.back();
   // The record bytes come straight from the writeset's memoized encode
   // arena — encoded once when the certifier froze it, appended here
   // without a per-record temporary.
-  durable_ += ws.EncodedBytes();
+  const std::string& bytes = ws.EncodedBytes();
+  tail.bytes += bytes;
+  ++tail.records;
+  retained_bytes_ += bytes.size();
   return durable_count_++;
 }
 
@@ -25,43 +25,59 @@ uint64_t Wal::DurableSize() const {
 
 size_t Wal::DurableBytes() const {
   std::lock_guard lock(mutex_);
-  return durable_.size();
+  return retained_bytes_;
+}
+
+DbVersion Wal::FirstRetained() const {
+  std::lock_guard lock(mutex_);
+  return first_retained_;
+}
+
+void Wal::DropThrough(DbVersion version) {
+  std::lock_guard lock(mutex_);
+  while (!segments_.empty() && segments_.front().records == kSegmentRecords &&
+         first_retained_ + static_cast<DbVersion>(kSegmentRecords) - 1 <=
+             version) {
+    retained_bytes_ -= segments_.front().bytes.size();
+    segments_.pop_front();
+    first_retained_ += static_cast<DbVersion>(kSegmentRecords);
+  }
 }
 
 Status Wal::ReadAll(std::vector<WriteSet>* out) const {
-  return ReadSince(std::numeric_limits<DbVersion>::min(),
-                   [out](const WriteSet& ws) { out->push_back(ws); });
-}
-
-size_t Wal::SeekOffsetLocked(DbVersion after) const {
-  // Last indexed record whose version is <= after: every record before
-  // it has a version <= after too (non-decreasing order), so it is safe
-  // to start there.
-  auto it = std::upper_bound(
-      index_.begin(), index_.end(), after,
-      [](DbVersion v, const std::pair<DbVersion, size_t>& entry) {
-        return v < entry.first;
-      });
-  return it == index_.begin() ? 0 : std::prev(it)->second;
-}
-
-size_t Wal::SeekOffset(DbVersion after) const {
-  std::lock_guard lock(mutex_);
-  return SeekOffsetLocked(after);
+  return ReadSince(0, [out](const WriteSet& ws) { out->push_back(ws); });
 }
 
 Status Wal::ReadSince(
     DbVersion after,
     const std::function<void(const WriteSet&)>& sink) const {
   std::lock_guard lock(mutex_);
-  size_t offset = SeekOffsetLocked(after);
+  if (after + 1 < first_retained_) {
+    return Status::OutOfRange(
+        "log read from version " + std::to_string(after + 1) +
+        " but the log retains only from " + std::to_string(first_retained_));
+  }
+  // Record n of segment i holds version first_retained_ + i * kSegmentRecords
+  // + n; start at the segment holding after + 1 and skip to it.
+  const auto skip = static_cast<uint64_t>(after + 1 - first_retained_);
   WriteSet ws;
-  while (offset < durable_.size()) {
-    if (!WriteSet::DecodeFrom(durable_, &offset, &ws)) {
-      return Status::IOError("corrupt WAL record at offset " +
-                             std::to_string(offset));
+  uint64_t to_skip = skip % kSegmentRecords;
+  for (size_t i = static_cast<size_t>(skip / kSegmentRecords);
+       i < segments_.size(); ++i) {
+    const std::string& bytes = segments_[i].bytes;
+    size_t offset = 0;
+    while (offset < bytes.size()) {
+      if (!WriteSet::DecodeFrom(bytes, &offset, &ws)) {
+        return Status::IOError("corrupt WAL record in segment " +
+                               std::to_string(i) + " at offset " +
+                               std::to_string(offset));
+      }
+      if (to_skip > 0) {
+        --to_skip;
+        continue;
+      }
+      sink(ws);
     }
-    if (ws.commit_version > after) sink(ws);
   }
   return Status::OK();
 }

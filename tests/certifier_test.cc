@@ -252,8 +252,10 @@ TEST_F(CertifierTest, PrunedToEmptyWindowAbortsStaleSnapshots) {
   EXPECT_EQ(certifier_->pruned_through(), 5);
 }
 
-// The durable log serves what the pruned window no longer holds, and the
-// window whatever is not durable yet: together, gap-free and in order.
+// The retained log serves what the pruned window no longer holds, and
+// the window whatever is not durable yet: together, gap-free and in
+// order.  Pruning drops the whole log segments at or below the mark, so
+// a fetch from below the retained log is refused outright.
 TEST_F(CertifierTest, FetchSinceStitchesLogSuffixAndWindow) {
   Build(2, false);
   for (TxnId t = 1; t <= 200; ++t) {
@@ -262,16 +264,25 @@ TEST_F(CertifierTest, FetchSinceStitchesLogSuffixAndWindow) {
                {static_cast<int64_t>(t)}));
     sim_.RunAll();
   }
+  const size_t unpruned_bytes = certifier_->wal(0).DurableBytes();
   certifier_->PruneThrough(0, 150);
   ASSERT_EQ(certifier_->retained_writesets(0), 50u);
+  // Segments [1, 64] and [65, 128] lie wholly at or below the mark;
+  // [129, 192] holds 151..192 and stays.
+  constexpr auto kSegment = static_cast<DbVersion>(Wal::kSegmentRecords);
+  EXPECT_EQ(certifier_->wal(0).FirstRetained(), 2 * kSegment + 1);
+  EXPECT_LT(certifier_->wal(0).DurableBytes(), unpruned_bytes / 2);
+  EXPECT_EQ(certifier_->FetchFloor(0), 2 * kSegment);
   // Two more certified but not yet forced: only the window has them.
   certifier_->SubmitCertification(MakeWs(201, 0, 200, {201}));
   certifier_->SubmitCertification(MakeWs(202, 0, 200, {202}));
   sim_.RunUntil(sim_.Now() + Micros(300));
   ASSERT_EQ(certifier_->CommitVersion(), 202);
   ASSERT_EQ(certifier_->wal(0).DurableSize(), 200u);
-  for (DbVersion from : {DbVersion{0}, DbVersion{63}, DbVersion{64},
-                         DbVersion{149}, DbVersion{150}, DbVersion{201}}) {
+  // From the segment boundary up: log suffix (crossing into the next
+  // segment), then the window.
+  for (DbVersion from : {2 * kSegment, 2 * kSegment + 1, DbVersion{149},
+                         DbVersion{150}, 3 * kSegment, DbVersion{201}}) {
     std::vector<DbVersion> got;
     ASSERT_TRUE(certifier_
                     ->FetchSince(0, from,
@@ -285,6 +296,34 @@ TEST_F(CertifierTest, FetchSinceStitchesLogSuffixAndWindow) {
     }
   }
   sim_.RunAll();
+}
+
+TEST_F(CertifierTest, FetchSinceBelowTheRetainedLogIsRefusedWholesale) {
+  Build(2, false);
+  for (TxnId t = 1; t <= 200; ++t) {
+    certifier_->SubmitCertification(
+        MakeWs(t, 0, static_cast<DbVersion>(t - 1),
+               {static_cast<int64_t>(t)}));
+    sim_.RunAll();
+  }
+  certifier_->PruneThrough(0, 150);
+  const DbVersion floor = certifier_->FetchFloor(0);
+  ASSERT_EQ(floor, 2 * static_cast<DbVersion>(Wal::kSegmentRecords));
+  for (DbVersion from : {DbVersion{0}, DbVersion{63}, DbVersion{64},
+                         floor - 1}) {
+    int streamed = 0;
+    const Status st = certifier_->FetchSince(
+        0, from, [&streamed](const WriteSet&) { ++streamed; });
+    EXPECT_TRUE(st.IsOutOfRange()) << from << ": " << st.ToString();
+    EXPECT_EQ(streamed, 0) << "a partial stream from " << from;
+  }
+  // The mark keeps advancing: once the window and every segment are past
+  // a reader, only the window's front still bounds it.
+  certifier_->PruneThrough(0, 200);
+  EXPECT_EQ(certifier_->retained_writesets(0), 0u);
+  EXPECT_EQ(certifier_->FetchFloor(0), 3 * static_cast<DbVersion>(
+                                               Wal::kSegmentRecords));
+  EXPECT_TRUE(certifier_->FetchSince(0, 200, [](const WriteSet&) {}).ok());
 }
 
 // A standby mirrors the primary's prune mark at the primary's stream

@@ -1,12 +1,13 @@
 // Failure injection: replica crash-stop and recovery (paper §IV's
-#include "runtime/sim_runtime.h"
 // crash-recovery model). Covers failover of in-flight transactions,
-// catch-up from the certifier's durable log, eager-mode membership
-// changes, and consistency of histories recorded across failures.
+// catch-up from the certifier's log or, below its retained suffix, from a
+// peer's snapshot, eager-mode membership changes, and consistency of
+// histories recorded across failures.
 
 #include <gtest/gtest.h>
 
 #include "consistency/checker.h"
+#include "runtime/sim_runtime.h"
 #include "workload/experiment.h"
 #include "workload/micro.h"
 
@@ -116,29 +117,32 @@ TEST(FaultToleranceTest, RecoveredReplicaConvergesViaCatchUp) {
             system->replica(0)->db()->CommittedVersion());
 }
 
-// While a replica is down the sweep prunes the certifier's window past
-// its V_local, so recovery must stream the durable log's suffix (seeking
-// past the prefix) and then the window: the caught-up replica ends with
-// the same rows, and the audit stays clean.
-TEST(FaultToleranceTest, RecoveryStreamsTheLogSuffixPastThePrunedWindow) {
-  Simulator sim;
-  runtime::SimRuntime rt{&sim};
-  SystemConfig config;
-  config.replica_count = 3;
-  config.level = ConsistencyLevel::kLazyCoarse;
-  config.obs.audit = true;
-  MicroWorkload workload(SmallMicro(1.0));
-  auto system_or = ReplicatedSystem::Create(
-      &rt, config,
-      [&workload](Database* db) { return workload.BuildSchema(db); },
-      [&workload](const Database& db, sql::TransactionRegistry* reg) {
-        return workload.DefineTransactions(db, reg);
-      });
-  ASSERT_TRUE(system_or.ok());
-  auto system = std::move(system_or).value();
-  system->SetClientCallback([](const TxnResponse&) {});
-  int64_t next_key = 0;
-  auto submit_updates = [&](int n) {
+/// An audited micro system driven directly (no clients), for inspecting
+/// replica state around crashes.  `certifier_latency` (one way, when set)
+/// slows the replica <-> certifier links, and so a recovery's catch-up.
+struct DirectRun {
+  DirectRun(int replicas, ConsistencyLevel level,
+            Duration certifier_latency = 0)
+      : workload(SmallMicro(1.0)) {
+    SystemConfig config;
+    config.replica_count = replicas;
+    config.level = level;
+    config.obs.audit = true;
+    if (certifier_latency > 0) {
+      config.network.replica_certifier.base_latency = certifier_latency;
+    }
+    auto system_or = ReplicatedSystem::Create(
+        &rt, config, [this](Database* db) { return workload.BuildSchema(db); },
+        [this](const Database& db, sql::TransactionRegistry* reg) {
+          return workload.DefineTransactions(db, reg);
+        });
+    SCREP_CHECK_MSG(system_or.ok(), system_or.status().ToString());
+    system = std::move(system_or).value();
+    system->SetClientCallback([](const TxnResponse&) {});
+  }
+
+  /// Submits `n` single-row updates and runs them to completion.
+  void SubmitUpdates(int n) {
     for (int i = 0; i < n; ++i) {
       TxnRequest req;
       req.txn_id = system->NextTxnId();
@@ -148,39 +152,172 @@ TEST(FaultToleranceTest, RecoveryStreamsTheLogSuffixPastThePrunedWindow) {
       system->Submit(std::move(req));
     }
     sim.RunAll();
-  };
+  }
 
-  submit_updates(10);
-  system->CrashReplica(2);
-  const DbVersion at_crash = system->replica(2)->proxy()->v_local();
-  // Enough commits for many sweeps: the window no longer reaches back
-  // to the crashed replica.
-  for (int round = 0; round < 40; ++round) submit_updates(10);
-  const Certifier* certifier = system->certifier();
+  /// Replica `r`'s item0 rows at its committed version.
+  std::vector<std::string> Rows(ReplicaId r) const {
+    Database* db = system->replica(r)->db();
+    std::vector<std::string> rows;
+    db->table(*db->FindTable("item0"))
+        ->Scan(db->CommittedVersion(), [&rows](int64_t, const Row& row) {
+          rows.push_back(RowToString(row));
+          return true;
+        });
+    return rows;
+  }
+
+  DbVersion VLocal(ReplicaId r) const {
+    return system->replica(r)->proxy()->v_local();
+  }
+
+  /// Every replica at the certifier's version with replica 0's rows and
+  /// no transaction left unfinished (an eager global commit waiting for
+  /// a report that never comes would stay), no window abort, and a clean
+  /// audit.
+  void ExpectConverged() const {
+    const DbVersion v = system->certifier()->CommitVersion();
+    for (ReplicaId r = 0; r < system->replica_count(); ++r) {
+      EXPECT_EQ(VLocal(r), v) << "replica " << r;
+      EXPECT_EQ(Rows(r), Rows(0)) << "replica " << r;
+      EXPECT_EQ(system->replica(r)->proxy()->active_transactions(), 0u)
+          << "replica " << r;
+    }
+    EXPECT_EQ(system->certifier()->window_abort_count(), 0);
+    const obs::Auditor* auditor = system->obs()->auditor();
+    ASSERT_NE(auditor, nullptr);
+    EXPECT_TRUE(auditor->ok()) << auditor->Summary();
+  }
+
+  MicroWorkload workload;
+  Simulator sim;
+  runtime::SimRuntime rt{&sim};
+  std::unique_ptr<ReplicatedSystem> system;
+  int64_t next_key = 0;
+};
+
+// While a replica is down the sweep prunes the certifier's window past
+// its V_local.  While the log still reaches back to it, recovery streams
+// the log's suffix and then the window: the caught-up replica ends with
+// the same rows, and the audit stays clean.
+TEST(FaultToleranceTest, RecoveryStreamsTheLogSuffixPastThePrunedWindow) {
+  DirectRun run(3, ConsistencyLevel::kLazyCoarse);
+  run.SubmitUpdates(10);
+  run.system->CrashReplica(2);
+  const DbVersion at_crash = run.VLocal(2);
+  // Enough commits for a few sweeps: the window no longer reaches back to
+  // the crashed replica, but the log's first segment is not full yet.
+  for (int round = 0; round < 4; ++round) run.SubmitUpdates(10);
+  const Certifier* certifier = run.system->certifier();
   ASSERT_GT(certifier->pruned_through(), at_crash + 1);
   ASSERT_LT(certifier->retained_writesets(0),
             static_cast<size_t>(certifier->CommitVersion() - at_crash));
+  ASSERT_LE(certifier->FetchFloor(), at_crash);
 
-  system->RecoverReplica(2);
-  sim.RunAll();
-  submit_updates(10);
-  const DbVersion v = certifier->CommitVersion();
-  ASSERT_EQ(system->replica(2)->proxy()->v_local(), v);
-  const TableId t = *system->replica(0)->db()->FindTable("item0");
-  std::vector<std::string> want, got;
-  system->replica(0)->db()->table(t)->Scan(v, [&](int64_t, const Row& row) {
-    want.push_back(RowToString(row));
-    return true;
-  });
-  system->replica(2)->db()->table(t)->Scan(v, [&](int64_t, const Row& row) {
-    got.push_back(RowToString(row));
-    return true;
-  });
-  EXPECT_EQ(want, got);
-  EXPECT_EQ(certifier->window_abort_count(), 0);
-  const obs::Auditor* auditor = system->obs()->auditor();
-  ASSERT_NE(auditor, nullptr);
-  EXPECT_TRUE(auditor->ok()) << auditor->Summary();
+  run.system->RecoverReplica(2);
+  run.sim.RunAll();
+  run.SubmitUpdates(10);
+  EXPECT_EQ(run.system->snapshot_rejoins(), 0);
+  run.ExpectConverged();
+}
+
+// Once the sweep has also dropped the log segments below a crashed
+// replica, it rejoins from a live peer's snapshot plus the suffix — at
+// every consistency level, eager included (its global commits must not
+// wait for reports the snapshot made moot).
+TEST(FaultToleranceTest, RecoveryBelowTheRetainedLogRejoinsFromAPeerSnapshot) {
+  for (ConsistencyLevel level :
+       {ConsistencyLevel::kLazyCoarse, ConsistencyLevel::kLazyFine,
+        ConsistencyLevel::kSession, ConsistencyLevel::kEager}) {
+    SCOPED_TRACE(ConsistencyLevelName(level));
+    DirectRun run(3, level);
+    run.SubmitUpdates(10);
+    run.system->CrashReplica(2);
+    const DbVersion at_crash = run.VLocal(2);
+    for (int round = 0; round < 40; ++round) run.SubmitUpdates(10);
+    const Certifier* certifier = run.system->certifier();
+    ASSERT_GT(certifier->FetchFloor(), at_crash);
+
+    // Updates in flight across the catch-up: under ESC some wait for the
+    // rejoining replica's report of a commit its snapshot already holds.
+    run.system->RecoverReplica(2);
+    run.SubmitUpdates(30);
+    EXPECT_EQ(run.system->snapshot_rejoins(), 1);
+    EXPECT_FALSE(run.system->IsAwaitingPeer(2));
+    // Serving again, and every update still commits.
+    run.SubmitUpdates(30);
+    run.ExpectConverged();
+  }
+}
+
+// The only live peer is down too: recovery below the retained log must
+// wait, installing nothing, until a peer is back and current — then it
+// rejoins from that peer's snapshot.
+TEST(FaultToleranceTest, RecoveryWaitsWhenTheOnlyPeerIsDown) {
+  DirectRun run(2, ConsistencyLevel::kLazyCoarse);
+  run.SubmitUpdates(10);
+  run.system->CrashReplica(1);
+  const DbVersion at_crash = run.VLocal(1);
+  const std::vector<std::string> rows_at_crash = run.Rows(1);
+  for (int round = 0; round < 40; ++round) run.SubmitUpdates(10);
+  ASSERT_GT(run.system->certifier()->FetchFloor(), at_crash);
+  run.system->CrashReplica(0);
+
+  run.system->RecoverReplica(1);
+  run.sim.RunAll();
+  EXPECT_TRUE(run.system->IsAwaitingPeer(1));
+  EXPECT_EQ(run.system->snapshot_rejoins(), 0);
+  EXPECT_EQ(run.VLocal(1), at_crash);
+  EXPECT_EQ(run.Rows(1), rows_at_crash);
+
+  // Replica 0 still reaches the retained log, catches up, and then gives
+  // replica 1 its snapshot.
+  run.system->RecoverReplica(0);
+  run.sim.RunAll();
+  EXPECT_FALSE(run.system->IsAwaitingPeer(1));
+  EXPECT_EQ(run.system->snapshot_rejoins(), 1);
+  run.SubmitUpdates(20);
+  run.ExpectConverged();
+}
+
+// A load balancer promoted while a replica is still rejoining must keep
+// it out of routing until it is current, like the balancer it replaces:
+// a transaction routed there would read stale state, and one still
+// active when the snapshot arrives would block its install.
+TEST(FaultToleranceTest, LoadBalancerFailoverDuringARejoinKeepsItOutOfRouting) {
+  // A slow catch-up round trip: the updates below reach the balancer
+  // while replica 2 is restarted but not caught up yet.
+  DirectRun run(3, ConsistencyLevel::kLazyCoarse, Millis(20));
+  run.SubmitUpdates(10);
+  run.system->CrashReplica(2);
+  for (int round = 0; round < 40; ++round) run.SubmitUpdates(10);
+  run.system->RecoverReplica(2);
+  run.system->CrashLoadBalancer();
+  run.SubmitUpdates(30);
+  EXPECT_EQ(run.system->snapshot_rejoins(), 1);
+  run.SubmitUpdates(30);
+  run.ExpectConverged();
+}
+
+// The same double outage, but short enough that the log still covers
+// the first replica to recover: it streams the log without waiting for a
+// peer.
+TEST(FaultToleranceTest, RecoveryUsesTheLogWhenTheOnlyPeerIsDown) {
+  DirectRun run(2, ConsistencyLevel::kLazyCoarse);
+  run.SubmitUpdates(10);
+  run.system->CrashReplica(1);
+  for (int round = 0; round < 4; ++round) run.SubmitUpdates(10);
+  ASSERT_LE(run.system->certifier()->FetchFloor(), run.VLocal(1));
+  run.system->CrashReplica(0);
+
+  run.system->RecoverReplica(1);
+  run.sim.RunAll();
+  EXPECT_FALSE(run.system->IsAwaitingPeer(1));
+  EXPECT_EQ(run.VLocal(1), run.system->certifier()->CommitVersion());
+  run.system->RecoverReplica(0);
+  run.sim.RunAll();
+  run.SubmitUpdates(20);
+  EXPECT_EQ(run.system->snapshot_rejoins(), 0);
+  run.ExpectConverged();
 }
 
 TEST(FaultToleranceTest, InFlightTransactionsFailOverToClient) {

@@ -1,11 +1,11 @@
-// Integration edge cases across modules: cold-start replica rebuild from
-#include "runtime/sim_runtime.h"
-// the certifier's durable log, duplicate message delivery, and
-// interactions between begin-waiters and version waiters.
+// Integration edge cases across modules: cold-start replica join from a
+// peer's snapshot plus the certifier's suffix, duplicate message
+// delivery, and interactions between begin-waiters and version waiters.
 
 #include <gtest/gtest.h>
 
 #include "consistency/checker.h"
+#include "runtime/sim_runtime.h"
 #include "workload/experiment.h"
 #include "workload/micro.h"
 
@@ -57,22 +57,44 @@ class IntegrationEdgeTest : public ::testing::Test {
   std::vector<TxnResponse> responses_;
 };
 
-// A brand-new node can be built from the initial population plus the
-// certifier's durable writeset log — the cold-start join path.
-TEST_F(IntegrationEdgeTest, ColdStartReplicaFromCertifierLog) {
+// A brand-new node joins from a live replica's snapshot plus the
+// certifier's suffix after it — the cold-start join path.  The log no
+// longer reaches back to version 0, so that is the only way in.
+TEST_F(IntegrationEdgeTest, ColdStartReplicaFromPeerSnapshotAndLogSuffix) {
   Build(2);
-  for (int i = 0; i < 25; ++i) SubmitUpdate(i % 100);
-  sim_->RunAll();
-  ASSERT_EQ(responses_.size(), 25u);
+  auto commit_updates = [this](int n) {
+    for (int i = 0; i < n; ++i) {
+      SubmitUpdate(i % 100);
+      sim_->RunAll();
+    }
+  };
+  commit_updates(300);
+  const DatabaseSnapshot snapshot =
+      system_->replica(0)->db()->TakeSnapshot();
+  // More commits while the snapshot is in transit, then the join.
+  commit_updates(50);
+  ASSERT_EQ(system_->certifier()->CommitVersion(), 350);
+  const Certifier* certifier = system_->certifier();
+  EXPECT_TRUE(certifier->FetchSince(0, 0, [](const WriteSet&) {})
+                  .IsOutOfRange());
+  ASSERT_GE(snapshot.version, certifier->FetchFloor());
 
+  // The new node knows the schema (tables and the table-set catalog);
+  // every row comes from the snapshot.
   Database fresh;
   ASSERT_TRUE(workload_->BuildSchema(&fresh).ok());
+  ASSERT_TRUE(system_->registry().PersistCatalog(&fresh).ok());
+  const Status installed = fresh.InstallSnapshot(snapshot);
+  ASSERT_TRUE(installed.ok()) << installed.ToString();
+  EXPECT_EQ(fresh.CommittedVersion(), snapshot.version);
   Status apply = Status::OK();
-  ASSERT_TRUE(system_->certifier()
-                  ->wal(0)
-                  .ReadSince(0, [&](const WriteSet& ws) {
-                    if (apply.ok()) apply = fresh.ApplyWriteSet(ws);
-                  })
+  ASSERT_TRUE(certifier
+                  ->FetchSince(0, snapshot.version,
+                               [&](const WriteSet& ws) {
+                                 if (apply.ok()) {
+                                   apply = fresh.ApplyWriteSet(ws);
+                                 }
+                               })
                   .ok());
   ASSERT_TRUE(apply.ok()) << apply.ToString();
   EXPECT_EQ(fresh.CommittedVersion(),

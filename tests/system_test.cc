@@ -259,18 +259,35 @@ TEST_F(SystemTest, CreateRejectsZeroReplicas) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST_F(SystemTest, CertifierWalMatchesCommittedVersions) {
+// The certifier's log keeps a bounded suffix: the sweep drops whole
+// segments below the prune mark, and what remains is dense, in commit
+// order, and reaches back to every replica's V_local.
+TEST_F(SystemTest, CertifierLogRetainsADenseSuffixCoveringEveryReplica) {
   Build(ConsistencyLevel::kLazyCoarse, 2);
-  for (int i = 0; i < 10; ++i) {
-    Submit("write_alpha", 1, {{Value(1), Value(i)}});
+  constexpr int kCommits = 300;
+  for (int i = 0; i < kCommits; ++i) {
+    Submit("write_alpha", 1, {{Value(1), Value(i % 20)}});
+    sim_->RunAll();
   }
-  sim_->RunAll();
-  std::vector<WriteSet> log;
-  ASSERT_TRUE(system_->certifier()->wal(0).ReadAll(&log).ok());
-  EXPECT_EQ(static_cast<DbVersion>(log.size()),
-            system_->certifier()->CommitVersion());
-  for (size_t i = 0; i < log.size(); ++i) {
-    EXPECT_EQ(log[i].commit_version, static_cast<DbVersion>(i + 1));
+  const Certifier* certifier = system_->certifier();
+  ASSERT_EQ(certifier->CommitVersion(), kCommits);
+  const Wal& log = certifier->wal(0);
+  EXPECT_EQ(log.DurableSize(), static_cast<uint64_t>(kCommits));
+  EXPECT_GT(log.FirstRetained(), 1) << "no segment was ever dropped";
+  std::vector<DbVersion> versions;
+  ASSERT_TRUE(log.ReadSince(log.FirstRetained() - 1,
+                            [&versions](const WriteSet& ws) {
+                              versions.push_back(ws.commit_version);
+                            })
+                  .ok());
+  ASSERT_EQ(static_cast<DbVersion>(versions.size()),
+            kCommits - log.FirstRetained() + 1);
+  for (size_t i = 0; i < versions.size(); ++i) {
+    EXPECT_EQ(versions[i], log.FirstRetained() + static_cast<DbVersion>(i));
+  }
+  for (ReplicaId r = 0; r < 2; ++r) {
+    EXPECT_GE(system_->replica(r)->proxy()->v_local(),
+              certifier->FetchFloor());
   }
 }
 

@@ -62,22 +62,87 @@ TEST(WalTest, ReadSinceStreamsOnlyTheSuffix) {
   }
 }
 
-TEST(WalTest, SeekSkipsThePrefixViaTheSparseIndex) {
+std::vector<DbVersion> VersionsSince(const Wal& wal, DbVersion after) {
+  std::vector<DbVersion> got;
+  EXPECT_TRUE(wal.ReadSince(after, [&got](const WriteSet& ws) {
+                   got.push_back(ws.commit_version);
+                 }).ok());
+  return got;
+}
+
+TEST(WalTest, ReadSinceCrossesSegmentBoundaries) {
   Wal wal;
-  std::vector<size_t> offsets;  // byte offset of each record
-  for (int i = 1; i <= 300; ++i) {
-    offsets.push_back(wal.DurableBytes());
-    wal.Append(MakeWs(static_cast<TxnId>(i), i));
+  constexpr auto kSegment = static_cast<DbVersion>(Wal::kSegmentRecords);
+  for (DbVersion v = 1; v <= 3 * kSegment + 5; ++v) {
+    wal.Append(MakeWs(static_cast<TxnId>(v), v));
   }
-  EXPECT_EQ(wal.SeekOffset(0), 0u);
-  for (DbVersion after : {DbVersion{64}, DbVersion{100}, DbVersion{250}}) {
-    // The seek lands at most one index stride before the first record
-    // with a version above `after` (record i holds version i + 1).
-    const size_t first = static_cast<size_t>(after);
-    const size_t seek = wal.SeekOffset(after);
-    EXPECT_LE(seek, offsets[first]);
-    EXPECT_GE(seek, offsets[first - Wal::kIndexStride]);
+  // Reads starting just before, at and just after each boundary stream
+  // the whole dense suffix, across every later segment.
+  for (DbVersion after : {kSegment - 1, kSegment, kSegment + 1,
+                          2 * kSegment - 1, 2 * kSegment, 3 * kSegment}) {
+    const std::vector<DbVersion> got = VersionsSince(wal, after);
+    ASSERT_EQ(got.size(), static_cast<size_t>(3 * kSegment + 5 - after))
+        << after;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], after + 1 + static_cast<DbVersion>(i));
+    }
   }
+}
+
+TEST(WalTest, DropThroughDropsOnlyWholeSegmentsAtOrBelowTheMark) {
+  Wal wal;
+  constexpr auto kSegment = static_cast<DbVersion>(Wal::kSegmentRecords);
+  for (DbVersion v = 1; v <= 2 * kSegment + 10; ++v) {
+    wal.Append(MakeWs(static_cast<TxnId>(v), v));
+  }
+  const size_t all_bytes = wal.DurableBytes();
+  EXPECT_EQ(wal.FirstRetained(), 1);
+  // A mark inside the first segment drops nothing.
+  wal.DropThrough(kSegment - 1);
+  EXPECT_EQ(wal.FirstRetained(), 1);
+  EXPECT_EQ(wal.DurableBytes(), all_bytes);
+  // A mark at the first segment's last record drops exactly it.
+  wal.DropThrough(kSegment);
+  EXPECT_EQ(wal.FirstRetained(), kSegment + 1);
+  EXPECT_LT(wal.DurableBytes(), all_bytes);
+  // The segment still being appended to stays, whatever the mark.
+  wal.DropThrough(10 * kSegment);
+  EXPECT_EQ(wal.FirstRetained(), 2 * kSegment + 1);
+  EXPECT_EQ(wal.DurableSize(), static_cast<uint64_t>(2 * kSegment + 10));
+  EXPECT_EQ(VersionsSince(wal, 2 * kSegment).size(), 10u);
+  // Monotone: a lower mark later changes nothing.
+  wal.DropThrough(1);
+  EXPECT_EQ(wal.FirstRetained(), 2 * kSegment + 1);
+  // Appends continue the dense sequence after a drop.
+  for (DbVersion v = 2 * kSegment + 11; v <= 3 * kSegment + 1; ++v) {
+    wal.Append(MakeWs(static_cast<TxnId>(v), v));
+  }
+  const std::vector<DbVersion> got = VersionsSince(wal, 2 * kSegment + 5);
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got.front(), 2 * kSegment + 6);
+  EXPECT_EQ(got.back(), 3 * kSegment + 1);
+}
+
+TEST(WalTest, ReadBelowTheRetainedLogIsRefusedWithoutAPartialStream) {
+  Wal wal;
+  constexpr auto kSegment = static_cast<DbVersion>(Wal::kSegmentRecords);
+  for (DbVersion v = 1; v <= 2 * kSegment; ++v) {
+    wal.Append(MakeWs(static_cast<TxnId>(v), v));
+  }
+  wal.DropThrough(kSegment);
+  for (DbVersion after : {DbVersion{0}, DbVersion{1}, kSegment - 1}) {
+    int streamed = 0;
+    const Status st =
+        wal.ReadSince(after, [&streamed](const WriteSet&) { ++streamed; });
+    EXPECT_TRUE(st.IsOutOfRange()) << after << ": " << st.ToString();
+    EXPECT_EQ(streamed, 0) << after;
+  }
+  std::vector<WriteSet> all;
+  EXPECT_TRUE(wal.ReadAll(&all).IsOutOfRange());
+  EXPECT_TRUE(all.empty());
+  // The first retained record itself is still readable.
+  EXPECT_EQ(VersionsSince(wal, kSegment).size(),
+            static_cast<size_t>(kSegment));
 }
 
 }  // namespace

@@ -142,6 +142,13 @@ for workload in kv_tcp tpcw_shopping kv_eager_writes; do
   echo "perfbench $workload: ok"
 done
 
+echo "== perfbench peak RSS flat over run length =="
+# Memory must stay bounded however long a run lasts: kv_eager_writes'
+# peak_rss_mb at 10 s and at 60 s (timed runs) may differ by at most 10%.
+# A store that grows with the run (an append-only log, say) fails here.
+python3 tools/rss_flatness.py --workload kv_eager_writes --short 10 \
+  --long 60 --tolerance 0.10
+
 echo "== bench regression gate =="
 # Compares the fresh BENCH_*.json against the committed baselines with
 # per-metric tolerance bands; --self-test proves the gate still catches
