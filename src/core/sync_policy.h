@@ -1,10 +1,11 @@
 // SyncPolicy — the load balancer's version-tagging brain.
 //
-// This class combines the trackers (V_system, per-table V_t, session map)
-// and answers the two questions the load balancer asks on every message:
+// This class combines the trackers (V_system, per-table V_t, session map,
+// each kept per shard) and answers the two questions the load balancer
+// asks on every message:
 //
 //  * request path:  with what version requirement do I tag this new
-//    transaction? (paper §IV-A/B/C; eager tags nothing)
+//    transaction? (paper §IV-A/B/C; eager requires nothing)
 //  * response path: which trackers advance when a commit acknowledgment
 //    (tagged with V_local and the written tables' new versions) flows back
 //    to the client?
@@ -15,11 +16,12 @@
 #ifndef SCREP_CORE_SYNC_POLICY_H_
 #define SCREP_CORE_SYNC_POLICY_H_
 
-#include <unordered_map>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/shard_coords.h"
 #include "core/consistency_level.h"
 #include "core/session_tracker.h"
 #include "core/table_version_tracker.h"
@@ -29,16 +31,32 @@
 namespace screp {
 
 /// Per-level synchronization policy for transaction starts.
+///
+/// Every tracker is kept per shard, in that shard's own version space
+/// (paper §IV's V_system, V_t and session versions, one set per
+/// certifier lane).  With one shard — every table in shard 0 — this is
+/// exactly the paper's single-stream policy.
 class SyncPolicy {
  public:
+  /// `table_to_shard[t]` assigns each table its shard (empty: every table
+  /// in shard 0 of a one-shard configuration).
   SyncPolicy(ConsistencyLevel level, size_t table_count,
-             DbVersion staleness_bound = 0)
+             DbVersion staleness_bound = 0,
+             std::vector<ShardId> table_to_shard = {}, int shard_count = 1)
       : level_(level),
         staleness_bound_(staleness_bound),
-        table_versions_(table_count) {}
+        table_to_shard_(std::move(table_to_shard)),
+        conservative_floor_(static_cast<size_t>(shard_count), 0),
+        system_versions_(static_cast<size_t>(shard_count)),
+        table_versions_(table_count),
+        sessions_(static_cast<size_t>(shard_count)) {
+    SCREP_CHECK(shard_count >= 1);
+    if (table_to_shard_.empty()) table_to_shard_.assign(table_count, 0);
+  }
 
   ConsistencyLevel level() const { return level_; }
   DbVersion staleness_bound() const { return staleness_bound_; }
+  int shard_count() const { return static_cast<int>(sessions_.size()); }
 
   /// Which tracker the version tag comes from under this level — i.e.
   /// where the auditor attributes any blocked BEGIN (or, for eager, ack)
@@ -60,176 +78,116 @@ class SyncPolicy {
   }
 
   /// Fail-over recovery: a freshly promoted load balancer has lost the
-  /// soft tracker state, so it must not *under*-synchronize. Setting a
-  /// conservative floor (the certifier's current commit version) makes
-  /// every non-eager requirement at least `floor` — over-waiting is safe,
-  /// under-waiting would silently weaken the guarantee.
-  void SetConservativeFloor(DbVersion floor) {
-    conservative_floor_ = std::max(conservative_floor_, floor);
-    system_version_.OnCommitAcknowledged(floor);
-  }
-  DbVersion conservative_floor() const { return conservative_floor_; }
-
-  /// The version the destination replica must reach before starting a
-  /// transaction from `session` with the given table-set.
-  /// Returns 0 ("start immediately") under the eager scheme, where
-  /// synchronization happens at commit instead.
-  DbVersion RequiredStartVersion(SessionId session,
-                                 const std::vector<TableId>& table_set) const {
-    switch (level_) {
-      case ConsistencyLevel::kEager:
-        return 0;  // synchronization happens at commit instead
-      case ConsistencyLevel::kLazyCoarse:
-        return std::max(conservative_floor_,
-                        system_version_.RequiredVersion());
-      case ConsistencyLevel::kLazyFine:
-        return std::max(conservative_floor_,
-                        table_versions_.RequiredVersion(table_set));
-      case ConsistencyLevel::kSession:
-        return std::max(conservative_floor_,
-                        sessions_.RequiredVersion(session));
-      case ConsistencyLevel::kBoundedStaleness: {
-        const DbVersion v = std::max(conservative_floor_,
-                                     system_version_.RequiredVersion());
-        return v > staleness_bound_ ? v - staleness_bound_ : 0;
-      }
+  /// soft tracker state, so it must not *under*-synchronize.  Setting a
+  /// conservative floor per shard (each certifier lane's current commit
+  /// version) makes every non-eager requirement in that shard at least
+  /// its floor — over-waiting is safe, under-waiting would silently
+  /// weaken the guarantee.
+  void SetConservativeFloor(const ShardVersions& floors) {
+    for (const auto& [s, floor] : floors) {
+      DbVersion& f = conservative_floor_[static_cast<size_t>(s)];
+      f = std::max(f, floor);
+      system_versions_[static_cast<size_t>(s)].OnCommitAcknowledged(floor);
     }
-    return 0;
+  }
+  DbVersion conservative_floor(ShardId shard = 0) const {
+    return conservative_floor_[static_cast<size_t>(shard)];
+  }
+
+  /// The version each shard in `shards` (the transaction's sorted
+  /// shard-set) must have published at the destination replica before a
+  /// transaction from `session` with the given table-set may BEGIN.
+  /// All zeros under the eager scheme, where synchronization happens at
+  /// commit instead.
+  ShardVersions RequiredStartVersion(
+      SessionId session, const std::vector<ShardId>& shards,
+      const std::vector<TableId>& table_set) const {
+    ShardVersions required;
+    required.reserve(shards.size());
+    for (ShardId s : shards) {
+      const auto idx = static_cast<size_t>(s);
+      DbVersion v = 0;
+      switch (level_) {
+        case ConsistencyLevel::kEager:
+          required.emplace_back(s, 0);
+          continue;
+        case ConsistencyLevel::kLazyCoarse:
+        case ConsistencyLevel::kBoundedStaleness:
+          v = system_versions_[idx].RequiredVersion();
+          break;
+        case ConsistencyLevel::kLazyFine:
+          // V_t values are shard-local: the fine-grained max is taken
+          // over the table-set's tables in this shard.
+          for (TableId t : table_set) {
+            SCREP_CHECK(t >= 0 &&
+                        static_cast<size_t>(t) < table_to_shard_.size());
+            if (table_to_shard_[static_cast<size_t>(t)] == s) {
+              v = std::max(v, table_versions_.TableVersion(t));
+            }
+          }
+          break;
+        case ConsistencyLevel::kSession:
+          v = sessions_[idx].RequiredVersion(session);
+          break;
+      }
+      v = std::max(conservative_floor_[idx], v);
+      if (level_ == ConsistencyLevel::kBoundedStaleness) {
+        v = v > staleness_bound_ ? v - staleness_bound_ : 0;
+      }
+      required.emplace_back(s, v);
+    }
+    return required;
   }
 
   /// Processes a commit acknowledgment flowing back through the load
-  /// balancer: `v_local` is the replica's database version when it
-  /// committed, `written_table_versions` the (table, new V_t) pairs for
-  /// tables the transaction wrote (empty for read-only transactions).
+  /// balancer: `locals` is the replica's published version per hosted
+  /// shard when it committed (the V_local tag), `written_table_versions`
+  /// the (table, new V_t) pairs for tables the transaction wrote, each in
+  /// its table's shard (empty for read-only transactions).
   void OnCommitAcknowledged(
-      SessionId session, DbVersion v_local,
+      SessionId session, const ShardVersions& locals,
       const std::vector<std::pair<TableId, DbVersion>>&
           written_table_versions) {
     // All trackers are maintained regardless of level: they are cheap,
     // and experiments can then report e.g. "how stale would SC have been"
     // under any configuration.
-    system_version_.OnCommitAcknowledged(v_local);
-    table_versions_.Merge(written_table_versions);
-    sessions_.OnCommitAcknowledged(session, v_local);
-  }
-
-  /// Switches the policy into sharded (partitioned-certification) mode:
-  /// versions are per shard, so every tracker the level consults becomes
-  /// per-shard.  `table_to_shard[t]` assigns each table its shard.
-  /// Supported levels at K > 1: LSC (per-shard V_system trackers), LFC
-  /// (the per-table V_t values are shard-local and only ever compared
-  /// within a table's own shard) and SC (per-session per-shard map);
-  /// eager and bounded staleness are refused by the system before this
-  /// is called.
-  void EnableSharding(std::vector<int32_t> table_to_shard, int shard_count) {
-    SCREP_CHECK_MSG(level_ != ConsistencyLevel::kEager &&
-                        level_ != ConsistencyLevel::kBoundedStaleness,
-                    "consistency level unsupported with sharding");
-    table_to_shard_ = std::move(table_to_shard);
-    shard_count_ = shard_count;
-    shard_system_.assign(static_cast<size_t>(shard_count), VersionTracker());
-  }
-  bool sharded() const { return shard_count_ > 0; }
-  int shard_count() const { return shard_count_; }
-
-  /// Sharded analog of RequiredStartVersion: the version each touched
-  /// shard's stream must have published at the destination replica
-  /// before BEGIN.  `shards` is the transaction's (sorted) shard-set,
-  /// derived from its declared table-set.
-  std::vector<std::pair<int32_t, DbVersion>> ShardRequirements(
-      SessionId session, const std::vector<int32_t>& shards,
-      const std::vector<TableId>& table_set) const {
-    std::vector<std::pair<int32_t, DbVersion>> required;
-    required.reserve(shards.size());
-    switch (level_) {
-      case ConsistencyLevel::kLazyCoarse:
-        for (int32_t s : shards) {
-          required.emplace_back(
-              s, shard_system_[static_cast<size_t>(s)].RequiredVersion());
-        }
-        break;
-      case ConsistencyLevel::kLazyFine:
-        // Per-table V_t values are shard-local, so the fine-grained max
-        // is taken per shard over the table-set's tables in that shard.
-        for (int32_t s : shards) {
-          DbVersion v = 0;
-          for (TableId t : table_set) {
-            if (table_to_shard_[static_cast<size_t>(t)] != s) continue;
-            v = std::max(v, table_versions_.TableVersion(t));
-          }
-          required.emplace_back(s, v);
-        }
-        break;
-      case ConsistencyLevel::kSession: {
-        auto it = sharded_sessions_.find(session);
-        for (int32_t s : shards) {
-          required.emplace_back(
-              s, it == sharded_sessions_.end()
-                     ? 0
-                     : it->second[static_cast<size_t>(s)]);
-        }
-        break;
-      }
-      case ConsistencyLevel::kEager:
-      case ConsistencyLevel::kBoundedStaleness:
-        SCREP_CHECK_MSG(false, "consistency level unsupported with sharding");
-    }
-    return required;
-  }
-
-  /// Sharded response path: `shard_locals` carries the replica's
-  /// published version per hosted shard at acknowledgment time, the
-  /// sharded analog of the V_local tag.
-  void OnCommitAcknowledgedSharded(
-      SessionId session,
-      const std::vector<std::pair<int32_t, DbVersion>>& shard_locals,
-      const std::vector<std::pair<TableId, DbVersion>>&
-          written_table_versions) {
-    for (const auto& [s, v] : shard_locals) {
-      shard_system_[static_cast<size_t>(s)].OnCommitAcknowledged(v);
+    for (const auto& [s, v] : locals) {
+      system_versions_[static_cast<size_t>(s)].OnCommitAcknowledged(v);
+      sessions_[static_cast<size_t>(s)].OnCommitAcknowledged(session, v);
     }
     table_versions_.Merge(written_table_versions);
-    auto [it, inserted] = sharded_sessions_.try_emplace(session);
-    if (inserted) it->second.assign(static_cast<size_t>(shard_count_), 0);
-    for (const auto& [s, v] : shard_locals) {
-      DbVersion& entry = it->second[static_cast<size_t>(s)];
-      entry = std::max(entry, v);
-    }
   }
 
-  /// Latest acknowledged version of one shard (the per-shard V_system).
-  DbVersion ShardSystemVersion(int32_t shard) const {
-    return shard_system_[static_cast<size_t>(shard)].SystemVersion();
-  }
-
-  /// Drops a finished session's tracker entry.  Session state is soft:
+  /// Drops a finished session's tracker entries.  Session state is soft:
   /// a later request from the same SID simply re-creates it (with the
   /// conservative floor still applied), so ending early is always safe —
-  /// but never ending it grows the map by one entry per session forever.
+  /// but never ending it grows the maps by one entry per session forever.
   void EndSession(SessionId session) {
-    sessions_.EndSession(session);
-    sharded_sessions_.erase(session);
+    for (SessionTracker& shard_sessions : sessions_) {
+      shard_sessions.EndSession(session);
+    }
   }
 
-  const VersionTracker& system_version() const { return system_version_; }
+  /// One shard's V_system tracker.
+  const VersionTracker& system_version(ShardId shard = 0) const {
+    return system_versions_[static_cast<size_t>(shard)];
+  }
   const TableVersionTracker& table_versions() const {
     return table_versions_;
   }
-  const SessionTracker& sessions() const { return sessions_; }
+  /// One shard's session map.
+  const SessionTracker& sessions(ShardId shard = 0) const {
+    return sessions_[static_cast<size_t>(shard)];
+  }
 
  private:
   ConsistencyLevel level_;
   DbVersion staleness_bound_;
-  DbVersion conservative_floor_ = 0;
-  VersionTracker system_version_;
+  std::vector<ShardId> table_to_shard_;
+  std::vector<DbVersion> conservative_floor_;
+  std::vector<VersionTracker> system_versions_;
   TableVersionTracker table_versions_;
-  SessionTracker sessions_;
-
-  /// Sharded mode (shard_count_ == 0 = single-stream, all unused).
-  int shard_count_ = 0;
-  std::vector<int32_t> table_to_shard_;
-  std::vector<VersionTracker> shard_system_;
-  std::unordered_map<SessionId, std::vector<DbVersion>> sharded_sessions_;
+  std::vector<SessionTracker> sessions_;
 };
 
 }  // namespace screp

@@ -47,6 +47,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/shard_coords.h"
 #include "obs/eventlog.h"
 #include "obs/metrics_registry.h"
 
@@ -78,17 +79,15 @@ struct AuditorConfig {
 class Auditor {
  public:
   /// `registry` (may be null) receives the staleness histograms.
-  Auditor(AuditorConfig config, MetricsRegistry* registry);
-
-  /// Switches the audit into partitioned-certification mode: commit
-  /// versions are dense *per shard* rather than globally, admission /
-  /// route / apply-order checks consult the events' per-shard vectors,
-  /// and first-committer-wins plus Definitions 1 and 2 are evaluated in
-  /// each shard's own version space (`table_to_shard[t]` assigns tables
-  /// to shards; a table's versions are only ever compared within its own
-  /// shard, where they remain totally ordered).
-  void EnableSharding(std::vector<int32_t> table_to_shard, int shard_count);
-  bool sharded() const { return shard_count_ > 0; }
+  /// `table_to_shard[t]` assigns tables to the `shard_count` shards of a
+  /// partitioned configuration (empty: one shard holding every table).
+  /// Every check runs over the events' per-shard coordinates: commit
+  /// versions are dense per shard, and first-committer-wins plus
+  /// Definitions 1 and 2 compare a table's versions only within its own
+  /// shard, where they remain totally ordered.  With one shard this is
+  /// exactly the single-stream audit.
+  Auditor(AuditorConfig config, MetricsRegistry* registry,
+          std::vector<int32_t> table_to_shard = {}, int shard_count = 1);
 
   /// The EventLog sink.
   void OnEvent(const Event& event);
@@ -108,11 +107,11 @@ class Auditor {
   /// Non-vacuous checks evaluated (evidence the audit did something).
   int64_t checks_performed() const { return checks_; }
 
-  /// Latest commit version the auditor has seen certified.
-  DbVersion max_commit_version() const { return max_version_; }
-  /// Latest certified version of one shard (sharded mode only).
+  /// Latest commit version the auditor has seen certified (shard 0's).
+  DbVersion max_commit_version() const { return shard_max_commit_version(0); }
+  /// Latest certified version of one shard.
   DbVersion shard_max_commit_version(int32_t shard) const {
-    return shard_max_version_[static_cast<size_t>(shard)];
+    return max_version_[static_cast<size_t>(shard)];
   }
 
   /// {"ok":...,"events":N,"checks":N,"violations_total":N,
@@ -147,7 +146,8 @@ class Auditor {
   void OnApply(const Event& e);
   void OnSnapshotInstalled(const Event& e);
   void OnFinished(const Event& e);
-  void OnFinishedSharded(const Event& e);
+  /// " in shard S" in a partitioned configuration, "" with one shard.
+  std::string InShard(int32_t shard) const;
   /// Latest acknowledged (before `deadline`) committed write to `table`
   /// in `log`; nullptr when none.
   static const AckedWrite* LatestAckedBefore(const AckedWriteLog& log,
@@ -163,32 +163,25 @@ class Auditor {
   int64_t violation_count_ = 0;
   std::vector<Violation> violations_;
 
-  DbVersion max_version_ = 0;
-  /// commit version -> (txn, certify time); pruned to a recent window.
-  std::map<DbVersion, std::pair<TxnId, TimePoint>> certified_;
-  /// commit version -> writeset info, for first-committer-wins.
-  std::map<DbVersion, CommittedUpdate> committed_updates_;
-  /// Per-replica last applied version (apply-order check).
-  std::unordered_map<ReplicaId, DbVersion> applied_;
-  /// Per-table ack-ordered prefix-max logs (Definition 1).
+  int shard_count_;
+  std::vector<int32_t> table_to_shard_;
+  /// Per shard: the latest issued version, and version -> (txn, certify
+  /// time), pruned to a recent window.
+  std::vector<DbVersion> max_version_;
+  std::vector<std::map<DbVersion, std::pair<TxnId, TimePoint>>> certified_;
+  /// Per shard: commit version -> the writes made in that shard, for
+  /// first-committer-wins.
+  std::vector<std::map<DbVersion, CommittedUpdate>> committed_updates_;
+  /// (replica * shard_count + shard) -> last applied version (apply-order
+  /// check).
+  std::unordered_map<int64_t, DbVersion> applied_;
+  /// Per-table ack-ordered prefix-max logs (Definition 1), in each
+  /// table's shard-local version space (a table never changes shard).
   std::unordered_map<TableId, AckedWriteLog> acked_writes_;
   /// The same, per session (Definition 2).
   std::unordered_map<SessionId,
                      std::unordered_map<TableId, AckedWriteLog>>
       session_writes_;
-
-  /// Sharded mode (shard_count_ == 0 = single-stream; all unused).  In
-  /// sharded mode acked_writes_ / session_writes_ hold *shard-local*
-  /// versions, which is sound because each log is per table and a table
-  /// never changes shard.
-  int shard_count_ = 0;
-  std::vector<int32_t> table_to_shard_;
-  std::vector<DbVersion> shard_max_version_;
-  std::vector<std::map<DbVersion, std::pair<TxnId, TimePoint>>>
-      shard_certified_;
-  std::vector<std::map<DbVersion, CommittedUpdate>> shard_committed_;
-  /// (replica * shard_count + shard) -> last applied shard-local version.
-  std::unordered_map<int64_t, DbVersion> shard_applied_;
 };
 
 }  // namespace screp::obs

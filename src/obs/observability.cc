@@ -39,13 +39,15 @@ Observability::Observability(runtime::Runtime* rt, const ObsConfig& config)
   }
 }
 
-void Observability::ConfigureAuditor(bool expect_strong,
-                                     bool expect_session) {
+void Observability::ConfigureAuditor(bool expect_strong, bool expect_session,
+                                     std::vector<int32_t> table_to_shard,
+                                     int shard_count) {
   if (!config_.audit || auditor_ != nullptr) return;
   AuditorConfig auditor_config;
   auditor_config.check_strong = expect_strong;
   auditor_config.check_session = expect_session;
-  auditor_ = std::make_unique<Auditor>(auditor_config, &registry_);
+  auditor_ = std::make_unique<Auditor>(auditor_config, &registry_,
+                                       std::move(table_to_shard), shard_count);
   event_log_.AddSink(
       [auditor = auditor_.get()](const Event& e) { auditor->OnEvent(e); });
 }

@@ -97,7 +97,11 @@ class Observability {
   /// promises: Definition 1 (strong) and/or Definition 2 (session —
   /// everything but bounded staleness, which bounds lag without
   /// consulting session versions).
-  void ConfigureAuditor(bool expect_strong, bool expect_session);
+  /// `table_to_shard` / `shard_count` describe a partitioned
+  /// configuration's shards (empty / 1: one shard holding every table).
+  void ConfigureAuditor(bool expect_strong, bool expect_session,
+                        std::vector<int32_t> table_to_shard = {},
+                        int shard_count = 1);
 
   /// Creates the time-series store and health monitor and subscribes them
   /// to the sampler and the event log (no-op when the config did not ask

@@ -76,18 +76,16 @@ void Certifier::SetObservability(obs::Observability* obs) {
 }
 
 DbVersion Certifier::SnapshotIn(const WriteSet& ws, ShardId s) const {
-  return sharded() ? ShardVersionOf(ws.shard_snapshots, s)
-                   : ws.snapshot_version;
+  return ShardCoords(ws.shard_snapshots, ws.snapshot_version).Of(s);
 }
 
 DbVersion Certifier::VersionIn(const WriteSet& ws, ShardId s) const {
-  return sharded() ? ShardVersionOf(ws.shard_versions, s, kNoVersion)
-                   : ws.commit_version;
+  return ShardCoords(ws.shard_versions, ws.commit_version).Of(s, kNoVersion);
 }
 
 ShardId Certifier::FanoutLane(const WriteSet& ws, ReplicaId target) const {
-  if (!sharded()) return 0;
-  for (const auto& [s, version] : ws.shard_versions) {
+  for (const auto& [s, version] :
+       ShardCoords(ws.shard_versions, ws.commit_version)) {
     (void)version;
     if (hosts_[static_cast<size_t>(target)][static_cast<size_t>(s)]) return s;
   }
@@ -112,7 +110,7 @@ void Certifier::SubmitCertification(WriteSet ws) {
   SCREP_CHECK_MSG(!ws.empty(), "read-only writesets never reach the certifier");
   SCREP_CHECK(ws.origin != kNoReplica);
   auto sub = std::make_shared<Submission>();
-  sub->lanes = sharded() ? map_.ShardsOf(ws) : std::vector<ShardId>{0};
+  sub->lanes = map_.ShardsOf(ws);
   // Intake bound: refuse on arrival once a touched lane's CPU queue is at
   // the bound, BEFORE the writeset can enter the certification stream —
   // a shed submission is never forwarded to the standby, so primary and
@@ -397,12 +395,10 @@ void Certifier::Commit(WriteSet ws, const std::vector<ShardId>& lanes) {
   // The joint commit version: the next version in every touched lane,
   // assigned atomically.  The scalar commit_version is the first touched
   // lane's (at K = 1 the global total order, with no shard coordinates).
-  ws.shard_versions.clear();
-  for (ShardId s : lanes) {
-    const DbVersion version = ++lane(s).v_commit;
-    if (sharded()) ws.shard_versions.emplace_back(s, version);
-  }
-  ws.commit_version = lane(lanes.front()).v_commit;
+  ShardVersions versions;
+  for (ShardId s : lanes) versions.emplace_back(s, ++lane(s).v_commit);
+  ws.commit_version = versions.front().second;
+  ws.shard_versions = ShardCoordsField(std::move(versions), lane_count());
   ++certified_;
   if (lanes.size() > 1) {
     ++sequenced_;

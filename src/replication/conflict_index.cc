@@ -81,27 +81,30 @@ void CommittedKeyIndex::Clear() {
   by_table_.clear();
 }
 
-void PendingApplyIndex::Insert(const WriteSet& ws, bool is_local) {
+void PendingApplyIndex::Insert(const WriteSet& ws,
+                               const ShardVersions& versions, bool is_local) {
   for (const WriteOp& op : ws.ops) {
-    keys_[TableKey{op.table, op.key}][ws.commit_version] =
+    keys_[TableKey{op.table, op.key}][VersionOf(op, versions)] =
         Slot{is_local, /*dispatched=*/false};
   }
 }
 
-void PendingApplyIndex::MarkDispatched(const WriteSet& ws) {
+void PendingApplyIndex::MarkDispatched(const WriteSet& ws,
+                                       const ShardVersions& versions) {
   for (const WriteOp& op : ws.ops) {
     auto it = keys_.find(TableKey{op.table, op.key});
     if (it == keys_.end()) continue;
-    auto vit = it->second.find(ws.commit_version);
+    auto vit = it->second.find(VersionOf(op, versions));
     if (vit != it->second.end()) vit->second.dispatched = true;
   }
 }
 
-void PendingApplyIndex::Erase(const WriteSet& ws) {
+void PendingApplyIndex::Erase(const WriteSet& ws,
+                              const ShardVersions& versions) {
   for (const WriteOp& op : ws.ops) {
     auto it = keys_.find(TableKey{op.table, op.key});
     if (it == keys_.end()) continue;
-    it->second.erase(ws.commit_version);
+    it->second.erase(VersionOf(op, versions));
     if (it->second.empty()) keys_.erase(it);
   }
 }
@@ -119,14 +122,15 @@ bool PendingApplyIndex::ConflictsWithQueuedRefresh(
   return false;
 }
 
-bool PendingApplyIndex::BlockedByEarlier(const WriteSet& ws) const {
+bool PendingApplyIndex::BlockedByEarlier(const WriteSet& ws,
+                                         const ShardVersions& versions) const {
   for (const WriteOp& op : ws.ops) {
     auto it = keys_.find(TableKey{op.table, op.key});
     if (it == keys_.end()) continue;
     // The version map is ordered: the first entry is the oldest
     // un-published write to this key.
     if (!it->second.empty() &&
-        it->second.begin()->first < ws.commit_version) {
+        it->second.begin()->first < VersionOf(op, versions)) {
       return true;
     }
   }

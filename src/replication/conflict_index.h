@@ -117,20 +117,27 @@ class CommittedKeyIndex {
 /// The proxy's index over un-published writesets (pending, executing, or
 /// awaiting the in-order publish).  Multiple un-published writesets may
 /// write the same key (at different versions), so each key maps to a
-/// small version-ordered set of entries.
+/// small version-ordered set of entries.  A key's versions are those of
+/// its table's shard — the only version space in which writes to it are
+/// ordered — so every method takes the writeset's (shard, version)
+/// coordinates.
 class PendingApplyIndex {
  public:
+  /// `map` (which must outlive the index) assigns tables to shards.
+  explicit PendingApplyIndex(const ShardMap* map) : map_(map) {}
+
   /// Indexes a newly arrived writeset (state: queued).
-  void Insert(const WriteSet& ws, bool is_local);
+  void Insert(const WriteSet& ws, const ShardVersions& versions,
+              bool is_local);
 
   /// Marks a writeset dispatched to an apply lane.  Dispatched writesets
   /// no longer count as "pending refresh" for early certification — the
   /// pre-lane code checked only the un-dispatched queue — but still block
   /// later conflicting dispatches until published.
-  void MarkDispatched(const WriteSet& ws);
+  void MarkDispatched(const WriteSet& ws, const ShardVersions& versions);
 
-  /// Removes a writeset at publish time (its version is now V_local).
-  void Erase(const WriteSet& ws);
+  /// Removes a writeset at publish time.
+  void Erase(const WriteSet& ws, const ShardVersions& versions);
 
   /// True when any key of `partial` is written by a *queued* (not yet
   /// dispatched) refresh writeset — the early-certification probe run per
@@ -138,9 +145,10 @@ class PendingApplyIndex {
   bool ConflictsWithQueuedRefresh(const WriteSet& partial) const;
 
   /// True when any key of `ws` is written by an un-published writeset
-  /// with a version below `ws.commit_version` — the lane dispatch rule:
-  /// such a writeset must execute first.
-  bool BlockedByEarlier(const WriteSet& ws) const;
+  /// with an earlier version in that key's shard — the lane dispatch
+  /// rule: such a writeset must execute first.
+  bool BlockedByEarlier(const WriteSet& ws,
+                        const ShardVersions& versions) const;
 
   size_t size() const { return keys_.size(); }
   void Clear() { keys_.clear(); }
@@ -150,7 +158,13 @@ class PendingApplyIndex {
     bool is_local = false;
     bool dispatched = false;
   };
-  /// (table, key) -> version -> state of the writeset writing it.
+  /// The version `op` is written at: its table's shard's coordinate.
+  DbVersion VersionOf(const WriteOp& op, const ShardVersions& versions) const {
+    return ShardVersionOf(versions, map_->ShardOf(op.table));
+  }
+
+  const ShardMap* map_;
+  /// (table, key) -> shard version -> state of the writeset writing it.
   std::unordered_map<TableKey, std::map<DbVersion, Slot>, TableKeyHash>
       keys_;
 };

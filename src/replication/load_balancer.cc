@@ -10,16 +10,26 @@ namespace screp {
 LoadBalancer::LoadBalancer(runtime::Runtime* rt, ConsistencyLevel level,
                            size_t table_count, int replica_count,
                            RoutingPolicy routing, DbVersion staleness_bound,
-                           AdmissionConfig admission)
+                           AdmissionConfig admission, const ShardMap* map,
+                           const std::vector<std::vector<ShardId>>& hosted)
     : rt_(rt),
-      policy_(level, table_count, staleness_bound),
+      shard_map_(map != nullptr ? *map : ShardMap(table_count, 1)),
+      policy_(level, table_count, staleness_bound,
+              shard_map_.table_to_shard(), shard_map_.shard_count()),
       replica_count_(replica_count),
       routing_(routing),
       admission_(admission),
       outstanding_(static_cast<size_t>(replica_count)),
       down_(static_cast<size_t>(replica_count), false) {
   SCREP_CHECK(replica_count_ >= 1);
-  (void)rt_;
+  const size_t shards = static_cast<size_t>(shard_map_.shard_count());
+  hosts_.assign(static_cast<size_t>(replica_count_),
+                std::vector<bool>(shards, true));
+  for (size_t r = 0; r < hosted.size() && r < hosts_.size(); ++r) {
+    if (hosted[r].empty()) continue;  // empty set = hosts everything
+    hosts_[r].assign(shards, false);
+    for (ShardId s : hosted[r]) hosts_[r][static_cast<size_t>(s)] = true;
+  }
 }
 
 void LoadBalancer::SetObservability(obs::Observability* obs) {
@@ -35,21 +45,6 @@ void LoadBalancer::SetObservability(obs::Observability* obs) {
 void LoadBalancer::SetTableSets(
     std::unordered_map<TxnTypeId, std::vector<TableId>> table_sets) {
   table_sets_ = std::move(table_sets);
-}
-
-void LoadBalancer::EnableSharding(const ShardMap* map,
-                                  std::vector<std::vector<ShardId>> hosted) {
-  SCREP_CHECK(map != nullptr);
-  shard_map_ = map;
-  const size_t shards = static_cast<size_t>(map->shard_count());
-  hosts_.assign(static_cast<size_t>(replica_count_),
-                std::vector<bool>(shards, true));
-  for (size_t r = 0; r < hosted.size() && r < hosts_.size(); ++r) {
-    if (hosted[r].empty()) continue;  // empty set = hosts everything
-    hosts_[r].assign(shards, false);
-    for (ShardId s : hosted[r]) hosts_[r][static_cast<size_t>(s)] = true;
-  }
-  policy_.EnableSharding(map->table_to_shard(), map->shard_count());
 }
 
 bool LoadBalancer::HostsAll(size_t replica,
@@ -68,9 +63,11 @@ const std::vector<TableId>* LoadBalancer::TableSetFor(TxnTypeId type) const {
 std::vector<ShardId> LoadBalancer::ShardsFor(
     const TxnRequest& request) const {
   const std::vector<TableId>* table_set = TableSetFor(request.type);
-  if (table_set != nullptr) return shard_map_->ShardsOfTables(*table_set);
+  if (table_set != nullptr && !table_set->empty()) {
+    return shard_map_.ShardsOfTables(*table_set);
+  }
   // No declared table-set: assume the transaction may touch anything.
-  std::vector<ShardId> all(static_cast<size_t>(shard_map_->shard_count()));
+  std::vector<ShardId> all(static_cast<size_t>(shard_map_.shard_count()));
   for (size_t s = 0; s < all.size(); ++s) all[s] = static_cast<ShardId>(s);
   return all;
 }
@@ -102,15 +99,10 @@ ReplicaId LoadBalancer::PickReplica(bool respect_window,
 }
 
 void LoadBalancer::OnClientRequest(const TxnRequest& request) {
-  // Sharded mode constrains routing to replicas hosting every shard the
+  // Routing is constrained to replicas hosting every shard the
   // transaction's declared table-set touches.
-  std::vector<ShardId> shards;
-  const std::vector<ShardId>* constraint = nullptr;
-  if (sharded()) {
-    shards = ShardsFor(request);
-    constraint = &shards;
-  }
-  const ReplicaId replica = PickReplica(/*respect_window=*/true, constraint);
+  const std::vector<ShardId> shards = ShardsFor(request);
+  const ReplicaId replica = PickReplica(/*respect_window=*/true, &shards);
   if (replica != kNoReplica) {
     Dispatch(replica, request);
     return;
@@ -118,7 +110,7 @@ void LoadBalancer::OnClientRequest(const TxnRequest& request) {
   // No dispatchable replica.  Distinguish "every candidate is down" (the
   // request cannot succeed, fail it back) from "live candidates are all
   // at their window" (queue it, bounded).
-  if (PickReplica(/*respect_window=*/false, constraint) == kNoReplica) {
+  if (PickReplica(/*respect_window=*/false, &shards) == kNoReplica) {
     ++unroutable_;
     SCREP_LOG(kInfo) << "[lb] no live replica for txn " << request.txn_id
                      << "; failing the request back to the client";
@@ -163,19 +155,14 @@ void LoadBalancer::Reject(const TxnRequest& request, TxnOutcome outcome) {
 
 void LoadBalancer::DrainAdmissionQueue() {
   while (!admission_queue_.empty()) {
-    std::vector<ShardId> shards;
-    const std::vector<ShardId>* constraint = nullptr;
-    if (sharded()) {
-      shards = ShardsFor(admission_queue_.front().request);
-      constraint = &shards;
-    }
-    const ReplicaId replica = PickReplica(/*respect_window=*/true, constraint);
+    const std::vector<ShardId> shards =
+        ShardsFor(admission_queue_.front().request);
+    const ReplicaId replica = PickReplica(/*respect_window=*/true, &shards);
     if (replica == kNoReplica) {
-      // Sharded only: the head may have become permanently unroutable (its
-      // hosting replicas all died) while other queued requests could still
+      // The head may have become permanently unroutable (its hosting
+      // replicas all died) while other queued requests could still
       // dispatch.  Fail it back and keep draining; otherwise stay FIFO.
-      if (constraint != nullptr &&
-          PickReplica(/*respect_window=*/false, constraint) == kNoReplica) {
+      if (PickReplica(/*respect_window=*/false, &shards) == kNoReplica) {
         QueuedRequest dead = std::move(admission_queue_.front());
         admission_queue_.pop_front();
         ++unroutable_;
@@ -201,28 +188,17 @@ void LoadBalancer::DrainAdmissionQueue() {
 
 void LoadBalancer::Dispatch(ReplicaId replica, const TxnRequest& request) {
   static const std::vector<TableId> kEmptyTableSet;
-  const std::vector<TableId>* table_set = &kEmptyTableSet;
-  if (policy_.level() == ConsistencyLevel::kLazyFine) {
-    auto it = table_sets_.find(request.type);
-    SCREP_CHECK_MSG(it != table_sets_.end(),
-                    "fine-grained mode needs a table-set for txn type "
-                        << request.type);
-    table_set = &it->second;
-  } else if (sharded()) {
-    const std::vector<TableId>* declared = TableSetFor(request.type);
-    if (declared != nullptr) table_set = declared;
-  }
+  const std::vector<TableId>* table_set = TableSetFor(request.type);
+  SCREP_CHECK_MSG(table_set != nullptr ||
+                      policy_.level() != ConsistencyLevel::kLazyFine,
+                  "fine-grained mode needs a table-set for txn type "
+                      << request.type);
+  if (table_set == nullptr) table_set = &kEmptyTableSet;
   // Tagged at dispatch (not arrival) time: a request that waited in the
   // admission queue picks up any versions acknowledged meanwhile, so it
   // can only over-wait relative to tagging on arrival — never weaker.
-  std::vector<std::pair<ShardId, DbVersion>> shard_required;
-  DbVersion required = 0;
-  if (sharded()) {
-    shard_required = policy_.ShardRequirements(
-        request.session, ShardsFor(request), *table_set);
-  } else {
-    required = policy_.RequiredStartVersion(request.session, *table_set);
-  }
+  const ShardVersions required = policy_.RequiredStartVersion(
+      request.session, ShardsFor(request), *table_set);
   outstanding_[static_cast<size_t>(replica)][request.txn_id] =
       OutstandingTxn{request.type, request.session, request.client_id,
                      request.submit_time};
@@ -247,16 +223,13 @@ void LoadBalancer::Dispatch(ReplicaId replica, const TxnRequest& request) {
     e.txn = request.txn_id;
     e.session = request.session;
     e.replica = replica;
-    e.required_version = required;
+    e.required_version = required.empty() ? 0 : required.front().second;
     e.satisfied_version = policy_.system_version().SystemVersion();
-    e.shard_required = shard_required;
+    e.shard_required =
+        ShardCoordsField(required, shard_map_.shard_count());
     event_log_->Append(std::move(e));
   }
-  if (sharded()) {
-    sharded_dispatch_cb_(replica, request, std::move(shard_required));
-  } else {
-    dispatch_cb_(replica, request, required);
-  }
+  dispatch_cb_(replica, request, required);
 }
 
 void LoadBalancer::OnProxyResponse(const TxnResponse& response) {
@@ -275,14 +248,10 @@ void LoadBalancer::OnProxyResponse(const TxnResponse& response) {
     table.erase(it);
   }
   if (response.outcome == TxnOutcome::kCommitted) {
-    if (sharded()) {
-      policy_.OnCommitAcknowledgedSharded(response.session,
-                                          response.shard_locals,
-                                          response.written_table_versions);
-    } else {
-      policy_.OnCommitAcknowledged(response.session, response.v_local_after,
-                                   response.written_table_versions);
-    }
+    policy_.OnCommitAcknowledged(
+        response.session,
+        ShardCoords(response.shard_locals, response.v_local_after).ToVector(),
+        response.written_table_versions);
     if (event_log_ != nullptr && event_log_->enabled()) {
       obs::Event e;
       e.kind = obs::EventKind::kSessionUpdate;
@@ -300,9 +269,9 @@ void LoadBalancer::OnProxyResponse(const TxnResponse& response) {
   if (!admission_queue_.empty()) DrainAdmissionQueue();
 }
 
-void LoadBalancer::PromoteFrom(DbVersion floor) {
+void LoadBalancer::PromoteFrom(const ShardVersions& floors) {
   promoted_ = true;
-  policy_.SetConservativeFloor(floor);
+  policy_.SetConservativeFloor(floors);
 }
 
 void LoadBalancer::MarkReplicaDown(ReplicaId replica) {

@@ -52,20 +52,24 @@ struct AdmissionConfig {
 /// Client-facing router + consistency tagger.
 class LoadBalancer {
  public:
+  /// Dispatch: the request plus its version requirement, one (shard,
+  /// version) pair per shard the transaction touches (one pair at K = 1).
   using DispatchCallback = std::function<void(
-      ReplicaId replica, const TxnRequest&, DbVersion required_version)>;
-  /// Sharded dispatch: the scalar tag becomes one (shard, version)
-  /// requirement per shard the transaction touches.
-  using ShardedDispatchCallback = std::function<void(
-      ReplicaId replica, const TxnRequest&,
-      std::vector<std::pair<ShardId, DbVersion>> shard_required)>;
+      ReplicaId replica, const TxnRequest&, const ShardVersions& required)>;
   using ClientResponseCallback = std::function<void(const TxnResponse&)>;
 
+  /// `map` assigns tables to shards (null: one shard holding every
+  /// table); `hosted` gives each replica's shard-set (an empty outer
+  /// vector, or an empty inner vector, means "hosts everything").
+  /// Requests route by the transaction's declared table-set to replicas
+  /// hosting every shard it touches — with one shard, any live replica.
   LoadBalancer(runtime::Runtime* rt, ConsistencyLevel level, size_t table_count,
                int replica_count,
                RoutingPolicy routing = RoutingPolicy::kLeastActive,
                DbVersion staleness_bound = 0,
-               AdmissionConfig admission = AdmissionConfig{});
+               AdmissionConfig admission = AdmissionConfig{},
+               const ShardMap* map = nullptr,
+               const std::vector<std::vector<ShardId>>& hosted = {});
 
   /// Wires request dispatch to replica proxies.
   void SetDispatchCallback(DispatchCallback cb) {
@@ -75,22 +79,6 @@ class LoadBalancer {
   void SetClientResponseCallback(ClientResponseCallback cb) {
     client_response_cb_ = std::move(cb);
   }
-  /// Wires sharded request dispatch; used instead of the scalar callback
-  /// once EnableSharding has been called.
-  void SetShardedDispatchCallback(ShardedDispatchCallback cb) {
-    sharded_dispatch_cb_ = std::move(cb);
-  }
-
-  /// Switches the balancer into partitioned-certification mode: requests
-  /// route by the transaction's declared table-set to replicas hosting
-  /// every touched shard, and version tags become per-shard.  `hosted`
-  /// gives each replica's shard-set (empty outer vector, or an empty
-  /// inner vector, means "hosts everything" — the full-replication
-  /// config, where routing degenerates to the unsharded choice among all
-  /// live replicas).  `map` must outlive the balancer.
-  void EnableSharding(const ShardMap* map,
-                      std::vector<std::vector<ShardId>> hosted);
-  bool sharded() const { return shard_map_ != nullptr; }
 
   /// Attaches the system's observability layer: routing spans plus
   /// dispatch / fail-over counters.
@@ -128,10 +116,10 @@ class LoadBalancer {
   }
 
   /// Marks this instance as a promoted standby: the tracker state is
-  /// re-initialized conservatively from `floor` (the certifier's current
-  /// commit version) and responses for transactions dispatched by the
-  /// dead predecessor are relayed rather than dropped.
-  void PromoteFrom(DbVersion floor);
+  /// re-initialized conservatively from `floors` (each certifier lane's
+  /// current commit version) and responses for transactions dispatched by
+  /// the dead predecessor are relayed rather than dropped.
+  void PromoteFrom(const ShardVersions& floors);
 
   bool promoted() const { return promoted_; }
 
@@ -166,9 +154,9 @@ class LoadBalancer {
 
   /// Routing among live replicas per `routing_` (rotating tie-break).
   /// With `respect_window`, replicas at the outstanding window are
-  /// skipped as if down.  `shards` (sharded mode only) restricts the
-  /// candidates to replicas hosting every listed shard; null means no
-  /// hosting constraint.  Returns kNoReplica when no candidate is left.
+  /// skipped as if down.  `shards` restricts the candidates to replicas
+  /// hosting every listed shard; null means no hosting constraint.
+  /// Returns kNoReplica when no candidate is left.
   ReplicaId PickReplica(bool respect_window,
                         const std::vector<ShardId>* shards = nullptr);
 
@@ -202,6 +190,7 @@ class LoadBalancer {
   void DrainAdmissionQueue();
 
   runtime::Runtime* rt_;
+  ShardMap shard_map_;
   SyncPolicy policy_;
   int replica_count_;
   RoutingPolicy routing_;
@@ -228,8 +217,6 @@ class LoadBalancer {
   int64_t unroutable_ = 0;
   bool promoted_ = false;
 
-  /// Sharded mode (null = single-stream; nothing below is consulted).
-  const ShardMap* shard_map_ = nullptr;
   /// hosts_[replica][shard]: does the replica apply that shard's stream?
   std::vector<std::vector<bool>> hosts_;
 
@@ -241,7 +228,6 @@ class LoadBalancer {
   obs::EventLog* event_log_ = nullptr;
 
   DispatchCallback dispatch_cb_;
-  ShardedDispatchCallback sharded_dispatch_cb_;
   ClientResponseCallback client_response_cb_;
 };
 

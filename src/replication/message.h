@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/shard_coords.h"
 #include "common/sim_time.h"
 #include "common/types.h"
 #include "storage/value.h"
@@ -101,16 +102,17 @@ struct TxnResponse {
   TimePoint submit_time = 0;  ///< echoed from the request
   TimePoint start_time = 0;   ///< when BEGIN executed at the replica
 
-  /// Partitioned certification (sharded configurations only; empty at
-  /// K = 1 so single-stream message contents are unchanged).
+  /// Per-shard coordinates, read through ShardCoords (empty at K = 1,
+  /// where the scalars above say everything, so single-stream message
+  /// contents are unchanged).
   /// Per touched shard: this transaction's shard-local commit version.
   std::vector<std::pair<int32_t, DbVersion>> shard_versions;
   /// Per hosted shard: the replica's published shard version when it
-  /// acknowledged — the sharded analog of the V_local tag, advancing the
-  /// LB's per-shard system trackers.
+  /// acknowledged — the per-shard V_local tag, advancing the LB's
+  /// per-shard system trackers.
   std::vector<std::pair<int32_t, DbVersion>> shard_locals;
   /// Per hosted shard: the shard version the transaction's snapshot
-  /// included when BEGIN executed (the sharded snapshot coordinates).
+  /// included when BEGIN executed (its per-shard snapshot coordinates).
   std::vector<std::pair<int32_t, DbVersion>> shard_snapshots;
 
   /// Result rows per statement, filled only for committed transactions
@@ -128,23 +130,20 @@ struct CertDecision {
   /// of a certification abort so clients back off rather than blaming a
   /// conflict.
   bool overloaded = false;
-  /// Sharded certification only: the commit version assigned in each
-  /// touched shard's version space (empty at K = 1, and on aborts).
-  /// `commit_version` then holds the lowest-numbered touched shard's
-  /// version for scalar consumers (stage tracking, logs).
+  /// Per touched shard: the commit version assigned in that shard's
+  /// version space (read through ShardCoords; empty at K = 1 and on
+  /// aborts).  `commit_version` then holds the lowest-numbered touched
+  /// shard's version for scalar consumers (stage tracking, logs).
   std::vector<std::pair<int32_t, DbVersion>> shard_versions = {};
 };
 
 /// A dispatch from the load balancer to a replica proxy: the client's
 /// request plus the version tag enforcing the synchronization start
-/// delay.
+/// delay — per touched shard, the version the replica must publish in
+/// that shard before BEGIN may execute (one pair at K = 1).
 struct RoutedRequest {
   TxnRequest request;
-  DbVersion required_version = 0;
-  /// Sharded configurations: per touched shard, the shard version the
-  /// replica must publish before BEGIN may execute (replaces the scalar
-  /// tag above, which stays 0).  Empty at K = 1.
-  std::vector<std::pair<int32_t, DbVersion>> shard_required;
+  ShardVersions required;
 };
 
 /// One certifier -> replica refresh message: the writesets of one

@@ -7,9 +7,28 @@
 
 namespace screp {
 
+namespace {
+
+/// Sorted, de-duplicated hosted shard-set; empty means every shard.
+std::vector<ShardId> HostedSet(const ShardMap& map,
+                               std::vector<ShardId> hosted) {
+  if (hosted.empty()) {
+    for (ShardId s = 0; s < map.shard_count(); ++s) hosted.push_back(s);
+  }
+  std::sort(hosted.begin(), hosted.end());
+  hosted.erase(std::unique(hosted.begin(), hosted.end()), hosted.end());
+  for (ShardId s : hosted) {
+    SCREP_CHECK_MSG(s >= 0 && s < map.shard_count(),
+                    "hosted shard " << s << " out of range");
+  }
+  return hosted;
+}
+
+}  // namespace
+
 Proxy::Proxy(runtime::Runtime* rt, ReplicaId id, Database* db,
              const sql::TransactionRegistry* registry, ProxyConfig config,
-             bool eager)
+             bool eager, const ShardMap* map, std::vector<ShardId> hosted)
     : rt_(rt),
       id_(id),
       db_(db),
@@ -18,11 +37,21 @@ Proxy::Proxy(runtime::Runtime* rt, ReplicaId id, Database* db,
       eager_(eager),
       service_rng_(config.seed * 0x9e3779b97f4a7c15ULL +
                    static_cast<uint64_t>(id) + 1),
+      shard_map_(map != nullptr ? *map : ShardMap(db->TableCount(), 1)),
+      hosted_shards_(HostedSet(shard_map_, std::move(hosted))),
       cpu_(rt, "replica-" + std::to_string(id) + "-cpu",
            config.cpu_cores),
       apply_lanes_(rt, "replica-" + std::to_string(id) + "-apply-lanes",
-                   config.apply_lanes) {
+                   config.apply_lanes *
+                       static_cast<int>(hosted_shards_.size())),
+      stream_index_(static_cast<size_t>(shard_map_.shard_count()), -1),
+      streams_(hosted_shards_.size()),
+      pending_index_(&shard_map_) {
   SCREP_CHECK(config.apply_lanes >= 1);
+  for (size_t i = 0; i < hosted_shards_.size(); ++i) {
+    stream_index_[static_cast<size_t>(hosted_shards_[i])] =
+        static_cast<int>(i);
+  }
 }
 
 void Proxy::SetObservability(obs::Observability* obs) {
@@ -91,16 +120,22 @@ DbVersion Proxy::OldestActiveSnapshot() const {
   return oldest;
 }
 
-DbVersion Proxy::OldestShardSnapshot(ShardId shard) const {
+DbVersion Proxy::OldestActiveSnapshot(ShardId shard) const {
   DbVersion oldest = ShardPublished(shard);
   for (const auto& [txn_id, t] : active_) {
     (void)txn_id;
     if (t->txn != nullptr) {
-      oldest = std::min(oldest, ShardVersionOf(t->shard_snapshots, shard,
-                                               oldest));
+      oldest = std::min(oldest, ShardVersionOf(t->snapshots, shard, oldest));
     }
   }
   return oldest;
+}
+
+DbVersion Proxy::ShardPublished(ShardId shard) const {
+  const int idx = stream_index_[static_cast<size_t>(shard)];
+  SCREP_CHECK_MSG(idx >= 0, "shard " << shard << " not hosted by replica "
+                                     << id_);
+  return streams_[static_cast<size_t>(idx)].published;
 }
 
 void Proxy::Crash() {
@@ -111,17 +146,20 @@ void Proxy::Crash() {
                    << pending_writesets() << " pending writeset(s); V_local="
                    << v_local();
   active_.clear();
-  begin_waiters_.clear();
   version_waiters_.clear();
-  pending_.clear();
-  // In-flight apply completions bail on the epoch check, so their lanes
-  // must be returned here.
-  for (size_t i = 0; i < executing_.size(); ++i) apply_lanes_.Release();
-  executing_.clear();
-  executed_.clear();
+  for (Stream& stream : streams_) {
+    // In-flight apply completions bail on the epoch check, so their lanes
+    // must be returned here.
+    for (int i = 0; i < stream.busy_lanes; ++i) apply_lanes_.Release();
+    stream.busy_lanes = 0;
+    stream.queued.clear();
+    stream.unpublished.clear();
+    stream.begin_waiters.clear();
+    stream.contiguous = stream.published;
+  }
+  applies_.clear();
+  executed_count_ = 0;
   pending_index_.Clear();
-  contiguous_ = v_local();
-  local_claims_.clear();
 }
 
 int Proxy::ResubmitPendingCertifications() {
@@ -152,21 +190,27 @@ void Proxy::Restart() {
 
 void Proxy::InstallSnapshot(const DatabaseSnapshot& snapshot) {
   SCREP_CHECK(!down_);
-  SCREP_CHECK_MSG(!sharded(), "snapshot rejoin needs the single stream");
-  SCREP_CHECK_MSG(active_.empty() && executing_.empty() && executed_.empty(),
+  SCREP_CHECK_MSG(shard_map_.shard_count() == 1,
+                  "snapshot rejoin needs a one-shard configuration");
+  SCREP_CHECK_MSG(active_.empty() && executed_count_ == 0 &&
+                      streams_[0].busy_lanes == 0,
                   "snapshot install into a busy replica");
   const Status st = db_->InstallSnapshot(snapshot);
   SCREP_CHECK_MSG(st.ok(), "snapshot install failed: " << st.ToString());
   const DbVersion v = snapshot.version;
   SCREP_LOG(kInfo) << "[replica " << id_ << "] installed a snapshot at "
                    << v;
-  while (!pending_.empty() && pending_.begin()->first <= v) {
-    const PendingApply& apply = pending_.begin()->second;
-    pending_index_.Erase(*apply.ws);
-    if (apply.credited && credit_cb_) credit_cb_(1);
-    pending_.erase(pending_.begin());
+  Stream& stream = streams_[0];
+  while (!stream.queued.empty() && stream.queued.begin()->first <= v) {
+    auto node = applies_.extract(stream.queued.begin()->second);
+    const PendingApply& apply = node.mapped();
+    pending_index_.Erase(*apply.hosted, apply.versions);
+    if (apply.credited && credit_cb_) credit_cb_(apply.credit_lane, 1);
+    stream.unpublished.erase(stream.queued.begin()->first);
+    stream.queued.erase(stream.queued.begin());
   }
-  contiguous_ = v;
+  stream.published = v;
+  stream.contiguous = v;
   if (event_log_ != nullptr && event_log_->enabled()) {
     obs::Event e;
     e.kind = obs::EventKind::kRecover;
@@ -181,119 +225,54 @@ void Proxy::InstallSnapshot(const DatabaseSnapshot& snapshot) {
   ReleaseBeginWaiters();
 }
 
-void Proxy::EnableSharding(const ShardMap* map,
-                           std::vector<ShardId> hosted) {
-  SCREP_CHECK_MSG(!eager_, "eager mode is unsupported with sharding");
-  SCREP_CHECK(map != nullptr);
-  shard_map_ = map;
-  if (hosted.empty()) {
-    for (ShardId s = 0; s < map->shard_count(); ++s) hosted.push_back(s);
-  }
-  std::sort(hosted.begin(), hosted.end());
-  hosted.erase(std::unique(hosted.begin(), hosted.end()), hosted.end());
-  hosted_shards_ = std::move(hosted);
-  stream_index_.assign(static_cast<size_t>(map->shard_count()), -1);
-  streams_.assign(hosted_shards_.size(), ShardStream{});
-  for (size_t i = 0; i < hosted_shards_.size(); ++i) {
-    const ShardId s = hosted_shards_[i];
-    SCREP_CHECK_MSG(s >= 0 && s < map->shard_count(),
-                    "hosted shard " << s << " out of range");
-    stream_index_[static_cast<size_t>(s)] = static_cast<int>(i);
-  }
-}
-
-DbVersion Proxy::ShardPublished(ShardId shard) const {
-  const int idx = stream_index_[static_cast<size_t>(shard)];
-  SCREP_CHECK_MSG(idx >= 0, "shard " << shard << " not hosted by replica "
-                                     << id_);
-  return streams_[static_cast<size_t>(idx)].published;
-}
-
-bool Proxy::ShardedRequirementMet(
-    const std::vector<std::pair<int32_t, DbVersion>>& required) const {
-  for (const auto& [shard, version] : required) {
-    SCREP_CHECK_MSG(HostsShard(shard),
-                    "routed to replica " << id_ << " which does not host shard "
-                                         << shard);
-    if (ShardPublished(shard) < version) return false;
-  }
-  return true;
-}
-
-void Proxy::OnTxnRequestSharded(
-    const TxnRequest& request,
-    const std::vector<std::pair<int32_t, DbVersion>>& shard_required) {
-  if (down_) {
-    NoteDroppedWhileDown("request", request.txn_id);
-    return;
-  }
-  auto t = std::make_unique<ActiveTxn>();
-  t->request = request;
-  t->shard_required = shard_required;
-  t->prepared = &registry_->Get(request.type);
-  t->arrive_time = rt_->Now();
-  ActiveTxn* raw = t.get();
-  SCREP_CHECK_MSG(active_.emplace(request.txn_id, std::move(t)).second,
-                  "duplicate txn id " << request.txn_id);
-  if (ShardedRequirementMet(shard_required) ||
-      config_.test_skip_version_check) {
-    StartExecution(raw);
-  } else {
-    // Per-shard synchronization start delay: BEGIN waits until every
-    // touched hosted shard's refresh stream reaches its required version.
-    sharded_begin_waiters_.push_back(request.txn_id);
-  }
-}
-
-void Proxy::ReleaseShardedBeginWaiters() {
-  for (size_t i = 0; i < sharded_begin_waiters_.size();) {
-    const TxnId txn = sharded_begin_waiters_[i];
-    auto it = active_.find(txn);
-    const bool release =
-        it == active_.end() ||
-        ShardedRequirementMet(it->second->shard_required);
-    if (!release) {
-      ++i;
-      continue;
-    }
-    sharded_begin_waiters_[i] = sharded_begin_waiters_.back();
-    sharded_begin_waiters_.pop_back();
-    if (it != active_.end()) StartExecution(it->second.get());
-  }
-}
-
 void Proxy::OnTxnRequest(const TxnRequest& request,
-                         DbVersion required_version) {
+                         const ShardVersions& required) {
   if (down_) {
     NoteDroppedWhileDown("request", request.txn_id);
     return;  // the load balancer reports the failure to the client
   }
   auto t = std::make_unique<ActiveTxn>();
   t->request = request;
-  t->required_version = required_version;
+  t->required = required;
   t->prepared = &registry_->Get(request.type);
   t->arrive_time = rt_->Now();
   ActiveTxn* raw = t.get();
   SCREP_CHECK_MSG(active_.emplace(request.txn_id, std::move(t)).second,
                   "duplicate txn id " << request.txn_id);
-  if (v_local() >= required_version || config_.test_skip_version_check) {
-    StartExecution(raw);
-  } else {
-    // Synchronization start delay: wait for the refresh stream to bring
-    // V_local up to the tagged version (§IV-A/B/C).
-    begin_waiters_.emplace(required_version, request.txn_id);
+  AdmitOrWait(raw);
+}
+
+void Proxy::AdmitOrWait(ActiveTxn* t) {
+  if (!config_.test_skip_version_check) {
+    for (const auto& [shard, version] : t->required) {
+      SCREP_CHECK_MSG(HostsShard(shard),
+                      "routed to replica " << id_
+                                           << " which does not host shard "
+                                           << shard);
+      Stream& stream = StreamOf(shard);
+      if (stream.published < version) {
+        // Synchronization start delay: wait for the refresh stream to
+        // publish the tagged version (§IV-A/B/C).
+        stream.begin_waiters.emplace(version, t->request.txn_id);
+        return;
+      }
+    }
   }
+  StartExecution(t);
 }
 
 void Proxy::ReleaseBeginWaiters() {
-  const DbVersion v = v_local();
-  while (!begin_waiters_.empty() && begin_waiters_.begin()->first <= v) {
-    const TxnId txn_id = begin_waiters_.begin()->second;
-    begin_waiters_.erase(begin_waiters_.begin());
-    auto it = active_.find(txn_id);
-    SCREP_CHECK(it != active_.end());
-    StartExecution(it->second.get());
+  for (Stream& stream : streams_) {
+    while (!stream.begin_waiters.empty() &&
+           stream.begin_waiters.begin()->first <= stream.published) {
+      const TxnId txn_id = stream.begin_waiters.begin()->second;
+      stream.begin_waiters.erase(stream.begin_waiters.begin());
+      auto it = active_.find(txn_id);
+      SCREP_CHECK(it != active_.end());
+      AdmitOrWait(it->second.get());
+    }
   }
+  const DbVersion v = v_local();
   while (!version_waiters_.empty() &&
          version_waiters_.begin()->first <= v) {
     auto fn = std::move(version_waiters_.begin()->second);
@@ -308,30 +287,28 @@ void Proxy::StartExecution(ActiveTxn* t) {
   EmitSpan("proxy.start_delay", t->request.txn_id, t->arrive_time,
            t->stages.version);
   t->txn = db_->Begin();  // snapshot at current V_local
-  if (sharded()) {
-    // The transaction's per-shard snapshot coordinates: what each hosted
-    // shard's refresh stream had published when BEGIN executed.  Applies
-    // advance the local database version and the shard streams in one
-    // atomic step, so these coordinates exactly describe the local MVCC
-    // snapshot just taken.
-    t->shard_snapshots.reserve(hosted_shards_.size());
-    for (ShardId s : hosted_shards_) {
-      t->shard_snapshots.emplace_back(s, ShardPublished(s));
-    }
+  // The transaction's per-shard snapshot coordinates: what each hosted
+  // stream had published when BEGIN executed.  Applies advance the local
+  // database version and the streams in one atomic step, so these
+  // coordinates exactly describe the local MVCC snapshot just taken.
+  t->snapshots.reserve(hosted_shards_.size());
+  for (ShardId s : hosted_shards_) {
+    t->snapshots.emplace_back(s, ShardPublished(s));
   }
   if (event_log_ != nullptr && event_log_->enabled()) {
+    const int shards = shard_map_.shard_count();
     obs::Event e;
     e.kind = obs::EventKind::kBeginAdmitted;
     e.at = t->exec_start_time;
     e.txn = t->request.txn_id;
     e.session = t->request.session;
     e.replica = id_;
-    e.required_version = t->required_version;
+    e.required_version = t->required.empty() ? 0 : t->required.front().second;
     e.satisfied_version = t->txn->snapshot();
     e.wait_cause = wait_cause_;
     e.wait = t->stages.version;
-    e.shard_required = t->shard_required;
-    e.shard_snapshots = t->shard_snapshots;
+    e.shard_required = ShardCoordsField(t->required, shards);
+    e.shard_snapshots = ShardCoordsField(t->snapshots, shards);
     event_log_->Append(std::move(e));
   }
   // Eager pays at the ack instead (see Respond); the lazy schemes' only
@@ -372,7 +349,8 @@ void Proxy::ExecuteNextStatement(ActiveTxn* t) {
   // client transaction immediately instead of letting it block the
   // refresh stream inside the DBMS.
   if (stmt.IsUpdate() && config_.early_certification) {
-    if (ConflictsWithPendingRefresh(t->txn->PartialWriteSet())) {
+    if (pending_index_.ConflictsWithQueuedRefresh(
+            t->txn->PartialWriteSet())) {
       ++early_aborts_;
       if (ctr_early_aborts_ != nullptr) ctr_early_aborts_->Increment();
       SCREP_LOG(kDebug) << "[replica " << id_ << "] early abort of txn "
@@ -428,11 +406,12 @@ void Proxy::OnStatementsDone(ActiveTxn* t) {
   t->writeset = t->txn->BuildWriteSet(config_.attach_read_sets);
   t->writeset.txn_id = t->request.txn_id;
   t->writeset.origin = id_;
-  // Sharded mode: ship the per-shard snapshot coordinates so each lane
-  // certifies against the snapshot this transaction actually read in
-  // that shard (hosted covers touched: the LB only routes here when this
-  // replica hosts every touched shard).
-  if (sharded()) t->writeset.shard_snapshots = t->shard_snapshots;
+  // The per-shard snapshot coordinates let each certifier lane certify
+  // against the snapshot this transaction actually read in that shard
+  // (hosted covers touched: the LB only routes here when this replica
+  // hosts every touched shard).
+  t->writeset.shard_snapshots =
+      ShardCoordsField(t->snapshots, shard_map_.shard_count());
   t->certify_start_time = rt_->Now();
   t->awaiting_decision = true;
   cert_request_cb_(t->writeset);
@@ -468,58 +447,28 @@ void Proxy::OnCertDecision(const CertDecision& decision) {
     Respond(t, TxnOutcome::kCertificationAbort);
     return;
   }
-  if (sharded()) {
-    t->writeset.commit_version = decision.commit_version;
-    t->writeset.shard_versions = decision.shard_versions;
-    // After a certifier failover the catch-up stream may have delivered
-    // this commit before its decision: whichever copy publishes finishes
-    // the transaction.
-    if (auto pending = sharded_pending_.find(decision.txn_id);
-        pending != sharded_pending_.end()) {
-      pending->second.claimed = true;
-      return;
-    }
-    const auto& [shard, version] = decision.shard_versions.front();
-    if (HostsShard(shard) && ShardPublished(shard) >= version) {
-      FinishLocalCommit(t);
-      return;
-    }
-    // Queue the local commit into its hosted apply streams at the joint
-    // per-shard versions the certifier assigned; publishing it finishes
-    // the transaction.
-    ShardedApply apply;
-    apply.ws = std::make_shared<const WriteSet>(t->writeset);
-    apply.is_local = true;
-    apply.enqueue_time = rt_->Now();
-    EnqueueShardedApply(std::move(apply));
-    DispatchShardedApplies();
-    return;
-  }
   t->writeset.commit_version = decision.commit_version;
-  // Whichever channel commits this version locally finishes the
+  t->writeset.shard_versions = decision.shard_versions;
+  // Whichever channel commits this writeset locally finishes the
   // transaction: normally the local apply queued below, but after a
   // certifier failover the same writeset may arrive (or already have
   // arrived, or be mid-apply) through the refresh/catch-up channel.
-  local_claims_[decision.commit_version] = decision.txn_id;
-  if (decision.commit_version <= v_local()) {
-    SettleLocalClaims();
+  if (auto pending = applies_.find(decision.txn_id);
+      pending != applies_.end()) {
+    pending->second.claimed = true;
     return;
   }
-  if (IsUnpublished(decision.commit_version)) {
-    return;  // already queued as a refresh; the claim finishes it
+  if (IsReceived(t->writeset)) {
+    FinishLocalCommit(t);  // already published
+    return;
   }
   // Queue the local commit at its slot in the global order; it interleaves
   // with refresh writesets so every replica commits in certifier order.
   PendingApply apply;
   apply.ws = std::make_shared<const WriteSet>(t->writeset);
   apply.is_local = true;
-  apply.local_txn = decision.txn_id;
   apply.enqueue_time = rt_->Now();
-  pending_index_.Insert(*apply.ws, /*is_local=*/true);
-  pending_.emplace(decision.commit_version, std::move(apply));
-  peak_pending_writesets_ =
-      std::max(peak_pending_writesets_, pending_writesets());
-  AdvanceContiguous();
+  Enqueue(std::move(apply));
   DispatchApplies();
 }
 
@@ -527,152 +476,160 @@ void Proxy::OnRefresh(const WriteSet& ws) {
   // Catch-up path: the sender hands us a plain writeset, so freeze a
   // private copy here.  The live fan-out path (OnRefreshBatch) shares the
   // certifier's frozen objects instead.
-  auto frozen = std::make_shared<const WriteSet>(ws);
-  if (sharded()) {
-    IngestShardedRefresh(std::move(frozen), /*credit_shard=*/-1,
-                         /*credited=*/false);
-  } else {
-    IngestRefresh(std::move(frozen), /*credited=*/false);
-  }
+  IngestRefresh(std::make_shared<const WriteSet>(ws), /*credit_lane=*/0,
+                /*credited=*/false);
 }
 
-bool Proxy::IngestRefresh(WriteSetRef ws, bool credited) {
+bool Proxy::IsReceived(const WriteSet& ws) const {
+  if (applies_.count(ws.txn_id) != 0) return true;
+  // Publication is atomic across a writeset's streams, so one hosted
+  // stream covering its version means all of them do.
+  for (const auto& [shard, version] :
+       ShardCoords(ws.shard_versions, ws.commit_version)) {
+    if (HostsShard(shard)) return version <= ShardPublished(shard);
+  }
+  SCREP_CHECK_MSG(false, "writeset for txn " << ws.txn_id
+                                             << " touches no hosted shard");
+  return false;
+}
+
+bool Proxy::IngestRefresh(WriteSetRef ws, ShardId credit_lane, bool credited) {
   SCREP_CHECK(ws->commit_version != kNoVersion);
   if (down_) {
     NoteDroppedWhileDown("refresh writeset", ws->txn_id);
     return false;  // recovery catch-up re-delivers it
   }
-  if (ws->commit_version <= v_local() || IsUnpublished(ws->commit_version)) {
+  if (IsReceived(*ws)) {
     return false;  // duplicate delivery (recovery catch-up overlap)
   }
   // Early certification, arrival direction: abort conflicting active local
   // transactions right away (§IV, hidden-deadlock avoidance).
   if (config_.early_certification) AbortConflictingActives(*ws);
-  const DbVersion commit_version = ws->commit_version;
   PendingApply apply;
   apply.ws = std::move(ws);
-  apply.is_local = false;
   apply.credited = credited;
+  apply.credit_lane = credit_lane;
   apply.enqueue_time = rt_->Now();
-  pending_index_.Insert(*apply.ws, /*is_local=*/false);
-  pending_.emplace(commit_version, std::move(apply));
-  peak_pending_writesets_ =
-      std::max(peak_pending_writesets_, pending_writesets());
-  AdvanceContiguous();
+  Enqueue(std::move(apply));
   DispatchApplies();
   return true;
 }
 
-bool Proxy::IngestShardedRefresh(WriteSetRef ws, ShardId credit_shard,
-                                 bool credited) {
-  SCREP_CHECK(!ws->shard_versions.empty());
-  if (down_) {
-    NoteDroppedWhileDown("refresh writeset", ws->txn_id);
-    return false;
-  }
-  if (sharded_pending_.find(ws->txn_id) != sharded_pending_.end()) {
-    return false;  // duplicate delivery
-  }
-  // Publication is atomic across a writeset's touched streams, so one
-  // hosted shard already covering its version means all of them do.
-  bool fresh = false;
-  for (const auto& [shard, version] : ws->shard_versions) {
-    if (HostsShard(shard) && version > ShardPublished(shard)) {
-      fresh = true;
-      break;
-    }
-  }
-  if (!fresh) return false;  // duplicate delivery
-  // Early certification, arrival direction (§IV, hidden-deadlock
-  // avoidance) — unchanged by sharding.
-  if (config_.early_certification) AbortConflictingActives(*ws);
-  ShardedApply apply;
-  apply.ws = std::move(ws);
-  apply.credited = credited;
-  apply.credit_shard = credit_shard;
-  apply.enqueue_time = rt_->Now();
-  EnqueueShardedApply(std::move(apply));
-  DispatchShardedApplies();
-  return true;
-}
-
-void Proxy::EnqueueShardedApply(ShardedApply apply) {
-  const TxnId txn = apply.ws->txn_id;
+void Proxy::Enqueue(PendingApply apply) {
+  const WriteSet& ws = *apply.ws;
   bool all_hosted = true;
-  for (const auto& [shard, version] : apply.ws->shard_versions) {
+  for (const auto& [shard, version] :
+       ShardCoords(ws.shard_versions, ws.commit_version)) {
     if (HostsShard(shard)) {
-      apply.hosted_versions.emplace_back(shard, version);
+      apply.versions.emplace_back(shard, version);
     } else {
       all_hosted = false;
     }
   }
-  SCREP_CHECK_MSG(!apply.hosted_versions.empty(),
-                  "writeset for txn " << txn << " touches no hosted shard");
+  SCREP_CHECK_MSG(!apply.versions.empty(),
+                  "writeset for txn " << ws.txn_id
+                                      << " touches no hosted shard");
   if (all_hosted) {
-    apply.hosted_sub = apply.ws;
+    apply.hosted = apply.ws;
   } else {
     // Partial replication: only the hosted shards' writes apply here.
     WriteSet sub;
-    sub.txn_id = apply.ws->txn_id;
-    sub.origin = apply.ws->origin;
-    for (const WriteOp& op : apply.ws->ops) {
-      if (HostsShard(shard_map_->ShardOf(op.table))) sub.ops.push_back(op);
+    sub.txn_id = ws.txn_id;
+    sub.origin = ws.origin;
+    for (const WriteOp& op : ws.ops) {
+      if (HostsShard(shard_map_.ShardOf(op.table))) sub.ops.push_back(op);
     }
-    apply.hosted_sub = std::make_shared<const WriteSet>(std::move(sub));
+    apply.hosted = std::make_shared<const WriteSet>(std::move(sub));
   }
-  pending_index_.Insert(*apply.hosted_sub, apply.is_local);
-  for (const auto& [shard, version] : apply.hosted_versions) {
-    ShardStream& stream =
-        streams_[static_cast<size_t>(stream_index_[static_cast<size_t>(shard)])];
-    SCREP_CHECK_MSG(stream.queue.emplace(version, txn).second,
+  pending_index_.Insert(*apply.hosted, apply.versions, apply.is_local);
+  for (const auto& [shard, version] : apply.versions) {
+    Stream& stream = StreamOf(shard);
+    SCREP_CHECK_MSG(stream.unpublished.emplace(version, ws.txn_id).second,
                     "duplicate version " << version << " in shard " << shard
                                          << " stream");
+    stream.queued.emplace(version, ws.txn_id);
   }
-  sharded_pending_.emplace(txn, std::move(apply));
+  applies_.emplace(ws.txn_id, std::move(apply));
   peak_pending_writesets_ =
       std::max(peak_pending_writesets_, pending_writesets());
+  AdvanceContiguous();
 }
 
-void Proxy::DispatchShardedApplies() {
-  // Start every stream head that is next in line in ALL of its touched
-  // hosted streams: serial within a stream, parallel across streams.
-  // Joint versions are assigned atomically in certifier decide order, so
-  // two cross-shard writesets can never wait on each other's heads.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (ShardStream& stream : streams_) {
-      if (stream.applying || stream.queue.empty()) continue;
-      const auto& [version, txn] = *stream.queue.begin();
-      if (version != stream.published + 1) continue;  // gap below
-      auto it = sharded_pending_.find(txn);
-      SCREP_CHECK(it != sharded_pending_.end());
+void Proxy::AdvanceContiguous() {
+  for (Stream& stream : streams_) {
+    while (stream.unpublished.count(stream.contiguous + 1) != 0) {
+      ++stream.contiguous;
+      // The writeset may just have become dispatchable gap-wise in all of
+      // its streams; remember when, so StartApply can split its ordering
+      // wait into gap wait vs. lane wait.
+      PendingApply& apply =
+          applies_.at(stream.unpublished.at(stream.contiguous));
+      if (apply.dispatched) continue;
       bool ready = true;
-      for (const auto& [shard, v] : it->second.hosted_versions) {
-        const ShardStream& other =
-            streams_[static_cast<size_t>(
-                stream_index_[static_cast<size_t>(shard)])];
-        if (other.applying || other.published + 1 != v) {
-          ready = false;
-          break;
-        }
+      for (const auto& [shard, version] : apply.versions) {
+        ready = ready && version <= StreamOf(shard).contiguous;
       }
-      if (!ready) continue;
-      StartShardedApply(txn);
-      progress = true;
+      if (ready) apply.ready_time = rt_->Now();
     }
   }
 }
 
-void Proxy::StartShardedApply(TxnId txn) {
-  auto it = sharded_pending_.find(txn);
-  SCREP_CHECK(it != sharded_pending_.end());
-  ShardedApply& apply = it->second;
-  for (const auto& [shard, version] : apply.hosted_versions) {
-    (void)version;
-    streams_[static_cast<size_t>(stream_index_[static_cast<size_t>(shard)])]
-        .applying = true;
+bool Proxy::CanStart(const PendingApply& apply, const Stream* scanned) {
+  for (const auto& [shard, version] : apply.versions) {
+    Stream& stream = StreamOf(shard);
+    // A version gap below (an unseen earlier writeset could conflict), or
+    // no free lane.
+    if (version > stream.contiguous ||
+        stream.busy_lanes >= config_.apply_lanes) {
+      return false;
+    }
+    if (&stream == scanned) continue;
+    // Stream order: only writesets held back by a conflict are overtaken.
+    for (auto it = stream.queued.begin(); it->first < version; ++it) {
+      const PendingApply& earlier = applies_.at(it->second);
+      if (!pending_index_.BlockedByEarlier(*earlier.hosted,
+                                           earlier.versions)) {
+        return false;
+      }
+    }
   }
+  return true;
+}
+
+void Proxy::DispatchApplies() {
+  // Each stream dispatches in version order; a writeset held back by a
+  // conflict with an earlier un-published one is overtaken, any other
+  // that cannot start yet (a gap or a busy lane in one of its streams)
+  // holds its stream back.
+  for (Stream& stream : streams_) {
+    auto it = stream.queued.begin();
+    while (it != stream.queued.end() &&
+           stream.busy_lanes < config_.apply_lanes) {
+      // Nothing above this stream's gap may dispatch yet.
+      if (it->first > stream.contiguous) break;
+      const TxnId txn = it->second;
+      const PendingApply& apply = applies_.at(txn);
+      ++it;  // advance before StartApply erases this entry
+      if (pending_index_.BlockedByEarlier(*apply.hosted, apply.versions)) {
+        continue;  // must wait for a conflicting earlier writeset
+      }
+      if (!CanStart(apply, &stream)) break;
+      StartApply(txn);
+    }
+  }
+}
+
+void Proxy::StartApply(TxnId txn) {
+  PendingApply& apply = applies_.at(txn);
+  for (const auto& [shard, version] : apply.versions) {
+    Stream& stream = StreamOf(shard);
+    stream.queued.erase(version);
+    ++stream.busy_lanes;
+    SCREP_CHECK(apply_lanes_.TryAcquire());
+  }
+  pending_index_.MarkDispatched(*apply.hosted, apply.versions);
+  apply.dispatched = true;
+
   Duration cost;
   if (apply.is_local) {
     auto ait = active_.find(txn);
@@ -680,75 +637,114 @@ void Proxy::StartShardedApply(TxnId txn) {
     ActiveTxn* t = ait->second.get();
     t->apply_start_time = rt_->Now();
     t->stages.sync = t->apply_start_time - t->decision_time;
-    EmitSpan("proxy.lane_wait", txn, t->decision_time, t->stages.sync);
+    // The ordering wait splits at the moment the contiguity watermarks
+    // crossed this writeset: before it, the writeset waited for the gaps
+    // below to fill (gap wait); after it, for free lanes and any
+    // conflicting earlier writesets (lane wait).
+    const TimePoint ready =
+        apply.ready_time > 0 ? apply.ready_time : t->decision_time;
+    EmitSpan("proxy.gap_wait", txn, t->decision_time,
+             ready - t->decision_time);
+    EmitSpan("proxy.lane_wait", txn, ready, t->apply_start_time - ready);
     cost = Stochastic(config_.commit_cost);
   } else {
     cost = Stochastic(config_.refresh_base +
                       config_.refresh_per_op *
-                          static_cast<Duration>(apply.hosted_sub->size()));
+                          static_cast<Duration>(apply.hosted->size()));
   }
+
   const uint64_t epoch = epoch_;
   cpu_.Submit(cost, [this, epoch, txn]() {
-    if (epoch != epoch_ || down_) return;
-    FinishShardedApply(txn);
+    if (epoch != epoch_ || down_) return;  // crashed meanwhile; Crash()
+                                           // already returned the lanes
+    PendingApply& done = applies_.at(txn);
+    for (const auto& [shard, version] : done.versions) {
+      (void)version;
+      --StreamOf(shard).busy_lanes;
+      apply_lanes_.Release();
+    }
+    if (done.is_local) {
+      auto ait = active_.find(txn);
+      if (ait != active_.end()) {
+        ActiveTxn* t = ait->second.get();
+        t->exec_done_time = rt_->Now();
+        EmitSpan("proxy.apply", txn, t->apply_start_time,
+                 t->exec_done_time - t->apply_start_time);
+      }
+    }
+    done.executed = true;
+    ++executed_count_;
+    PublishReady();
+    DispatchApplies();
   });
 }
 
-void Proxy::FinishShardedApply(TxnId txn) {
-  auto it = sharded_pending_.find(txn);
-  SCREP_CHECK(it != sharded_pending_.end());
-  ShardedApply apply = std::move(it->second);
-  sharded_pending_.erase(it);
-  // Apply the hosted writes at the next *local* dense version, then
-  // advance every touched stream — one atomic step, so BEGIN snapshots
-  // can never observe a partially published writeset.
-  const Status st = db_->ApplyWriteSetLocal(*apply.hosted_sub);
+void Proxy::PublishReady() {
+  // Publish executed writesets in strict per-stream version order: each
+  // stream's version only ever advances by one, and each writeset's side
+  // effects (event log, eager report, local-commit settlement, BEGIN-
+  // waiter release) fire before the next one's — with one stream exactly
+  // the serial apply path's externally visible order.  A writeset
+  // publishes only when it is next in every one of its streams, so no
+  // BEGIN can observe it in one stream and not another.
+  for (bool progress = true; progress;) {
+    progress = false;
+    for (Stream& stream : streams_) {
+      if (stream.unpublished.empty() ||
+          stream.unpublished.begin()->first != stream.published + 1) {
+        continue;
+      }
+      const TxnId txn = stream.unpublished.begin()->second;
+      const PendingApply& apply = applies_.at(txn);
+      bool next_everywhere = apply.executed;
+      for (const auto& [shard, version] : apply.versions) {
+        next_everywhere =
+            next_everywhere && StreamOf(shard).published + 1 == version;
+      }
+      if (!next_everywhere) continue;
+      Publish(txn);
+      progress = true;
+    }
+  }
+}
+
+void Proxy::Publish(TxnId txn) {
+  auto node = applies_.extract(txn);
+  const PendingApply& apply = node.mapped();
+  --executed_count_;
+  const Status st = db_->ApplyWriteSetLocal(*apply.hosted);
   SCREP_CHECK_MSG(st.ok(), "apply failed: " << st.ToString());
-  pending_index_.Erase(*apply.hosted_sub);
-  for (const auto& [shard, version] : apply.hosted_versions) {
-    ShardStream& stream =
-        streams_[static_cast<size_t>(stream_index_[static_cast<size_t>(shard)])];
-    SCREP_CHECK(!stream.queue.empty() &&
-                stream.queue.begin()->first == version);
-    stream.queue.erase(stream.queue.begin());
+  pending_index_.Erase(*apply.hosted, apply.versions);
+  for (const auto& [shard, version] : apply.versions) {
+    Stream& stream = StreamOf(shard);
+    stream.unpublished.erase(stream.unpublished.begin());
     stream.published = version;
-    stream.applying = false;
   }
   if (!apply.is_local) {
     ++refresh_applied_;
     if (ctr_refresh_applied_ != nullptr) ctr_refresh_applied_->Increment();
   }
-  if (apply.credited && sharded_credit_cb_) {
-    sharded_credit_cb_(apply.credit_shard, 1);
-  }
+  // Publishing frees the apply-pipeline slot this writeset held: return
+  // its refresh credit so the certifier may send the next one.
+  if (apply.credited && credit_cb_) credit_cb_(apply.credit_lane, 1);
   if (event_log_ != nullptr && event_log_->enabled()) {
     obs::Event e;
     e.kind = obs::EventKind::kApply;
     e.at = rt_->Now();
-    e.txn = apply.ws->txn_id;
+    e.txn = txn;
     e.replica = id_;
     e.commit_version = apply.ws->commit_version;
     e.local = apply.is_local;
-    e.shard_versions = apply.hosted_versions;
+    e.shard_versions =
+        ShardCoordsField(apply.versions, shard_map_.shard_count());
     event_log_->Append(std::move(e));
   }
-  if (apply.is_local) {
-    auto ait = active_.find(txn);
-    if (ait != active_.end()) {
-      ActiveTxn* t = ait->second.get();
-      t->exec_done_time = rt_->Now();
-      EmitSpan("proxy.apply", txn, t->apply_start_time,
-               t->exec_done_time - t->apply_start_time);
-      t->local_commit_time = rt_->Now();
-      t->stages.commit = t->local_commit_time - t->apply_start_time;
-      Respond(t, TxnOutcome::kCommitted);
-    }
-  } else if (apply.claimed) {
-    auto ait = active_.find(txn);
-    if (ait != active_.end()) FinishLocalCommit(ait->second.get());
+  if (eager_) replica_committed_cb_(txn);
+  if (apply.is_local || apply.claimed) {
+    auto it = active_.find(txn);
+    if (it != active_.end()) FinishLocalCommit(it->second.get());
   }
-  ReleaseShardedBeginWaiters();
-  DispatchShardedApplies();
+  ReleaseBeginWaiters();
 }
 
 void Proxy::AbortConflictingActives(const WriteSet& ws) {
@@ -771,144 +767,6 @@ void Proxy::AbortConflictingActives(const WriteSet& ws) {
                         << ": arriving refresh writeset (version "
                         << ws.commit_version << ") conflicts";
     }
-  }
-}
-
-bool Proxy::ConflictsWithPendingRefresh(const WriteSet& partial) const {
-  return pending_index_.ConflictsWithQueuedRefresh(partial);
-}
-
-bool Proxy::IsUnpublished(DbVersion version) const {
-  return pending_.count(version) != 0 || executing_.count(version) != 0 ||
-         executed_.count(version) != 0;
-}
-
-void Proxy::AdvanceContiguous() {
-  while (IsUnpublished(contiguous_ + 1)) {
-    ++contiguous_;
-    // The version just became dispatchable gap-wise; remember when, so
-    // StartApply can split its ordering wait into gap wait vs. lane wait.
-    auto it = pending_.find(contiguous_);
-    if (it != pending_.end()) it->second.ready_time = rt_->Now();
-  }
-}
-
-void Proxy::DispatchApplies() {
-  auto it = pending_.begin();
-  while (it != pending_.end() && apply_lanes_.FreeServers() > 0) {
-    const DbVersion version = it->first;
-    if (version > contiguous_) {
-      // Version gap below: an unseen earlier writeset could conflict, so
-      // nothing above the gap may dispatch yet.
-      break;
-    }
-    if (pending_index_.BlockedByEarlier(*it->second.ws)) {
-      ++it;  // must wait for a conflicting earlier writeset to publish
-      continue;
-    }
-    ++it;  // advance before StartApply erases this entry
-    StartApply(version);
-  }
-}
-
-void Proxy::StartApply(DbVersion version) {
-  SCREP_CHECK(apply_lanes_.TryAcquire());
-  auto it = pending_.find(version);
-  SCREP_CHECK(it != pending_.end());
-  PendingApply apply = std::move(it->second);
-  pending_.erase(it);
-  pending_index_.MarkDispatched(*apply.ws);
-  executing_.insert(version);
-
-  Duration cost;
-  if (apply.is_local) {
-    auto ait = active_.find(apply.local_txn);
-    SCREP_CHECK(ait != active_.end());
-    ActiveTxn* t = ait->second.get();
-    t->apply_start_time = rt_->Now();
-    t->stages.sync = t->apply_start_time - t->decision_time;
-    // The ordering wait splits at the moment the contiguity watermark
-    // crossed this version: before it, the writeset waited for the gap
-    // below to fill (gap wait); after it, for a free lane and any
-    // conflicting earlier writesets (lane wait).
-    const TimePoint ready =
-        apply.ready_time > 0 ? apply.ready_time : t->decision_time;
-    EmitSpan("proxy.gap_wait", apply.local_txn, t->decision_time,
-             ready - t->decision_time);
-    EmitSpan("proxy.lane_wait", apply.local_txn, ready,
-             t->apply_start_time - ready);
-    cost = Stochastic(config_.commit_cost);
-  } else {
-    cost = Stochastic(config_.refresh_base +
-                      config_.refresh_per_op *
-                          static_cast<Duration>(apply.ws->size()));
-  }
-
-  const uint64_t epoch = epoch_;
-  cpu_.Submit(cost, [this, epoch, version, apply = std::move(apply)]() mutable {
-    if (epoch != epoch_ || down_) return;  // crashed meanwhile; Crash()
-                                           // already returned the lane
-    executing_.erase(version);
-    apply_lanes_.Release();
-    if (apply.is_local) {
-      auto ait = active_.find(apply.local_txn);
-      if (ait != active_.end()) {
-        ActiveTxn* t = ait->second.get();
-        t->exec_done_time = rt_->Now();
-        EmitSpan("proxy.apply", apply.local_txn, t->apply_start_time,
-                 t->exec_done_time - t->apply_start_time);
-      }
-    }
-    executed_.emplace(version, std::move(apply));
-    PublishReady();
-    DispatchApplies();
-  });
-}
-
-void Proxy::PublishReady() {
-  // Publish executed writesets in strict commit-version order: V_local
-  // only ever advances by one, and each version's side effects (event
-  // log, eager report, local-commit settlement, BEGIN-waiter release)
-  // fire before the next version's — exactly the serial apply path's
-  // externally visible order.
-  for (auto it = executed_.find(v_local() + 1); it != executed_.end();
-       it = executed_.find(v_local() + 1)) {
-    PendingApply apply = std::move(it->second);
-    executed_.erase(it);
-    const Status st = db_->ApplyWriteSet(*apply.ws);
-    SCREP_CHECK_MSG(st.ok(), "apply failed: " << st.ToString());
-    pending_index_.Erase(*apply.ws);
-    if (!apply.is_local) {
-      ++refresh_applied_;
-      if (ctr_refresh_applied_ != nullptr) ctr_refresh_applied_->Increment();
-    }
-    // Publishing frees the apply-pipeline slot this writeset held:
-    // return its refresh credit so the certifier may send the next one.
-    if (apply.credited && credit_cb_) credit_cb_(1);
-    if (event_log_ != nullptr && event_log_->enabled()) {
-      obs::Event e;
-      e.kind = obs::EventKind::kApply;
-      e.at = rt_->Now();
-      e.txn = apply.ws->txn_id;
-      e.replica = id_;
-      e.commit_version = apply.ws->commit_version;
-      e.local = apply.is_local;
-      event_log_->Append(std::move(e));
-    }
-    if (eager_) replica_committed_cb_(apply.ws->txn_id);
-    SettleLocalClaims();
-    ReleaseBeginWaiters();
-  }
-}
-
-void Proxy::SettleLocalClaims() {
-  const DbVersion v = v_local();
-  while (!local_claims_.empty() && local_claims_.begin()->first <= v) {
-    const TxnId txn_id = local_claims_.begin()->second;
-    local_claims_.erase(local_claims_.begin());
-    auto it = active_.find(txn_id);
-    if (it == active_.end()) continue;  // lost in a crash
-    FinishLocalCommit(it->second.get());
   }
 }
 
@@ -982,24 +840,22 @@ void Proxy::Respond(ActiveTxn* t, TxnOutcome outcome) {
   if (t->request.collect_results && outcome == TxnOutcome::kCommitted) {
     response.results = std::move(t->results);
   }
-  if (sharded()) {
-    response.shard_snapshots = t->shard_snapshots;
-    response.shard_locals.reserve(hosted_shards_.size());
-    for (ShardId s : hosted_shards_) {
-      response.shard_locals.emplace_back(s, ShardPublished(s));
-    }
-  }
+  // The per-shard V_local tag: each hosted stream's published version.
+  ShardVersions locals;
+  for (ShardId s : hosted_shards_) locals.emplace_back(s, ShardPublished(s));
+  const int shards = shard_map_.shard_count();
+  response.shard_locals = ShardCoordsField(std::move(locals), shards);
+  response.shard_snapshots = ShardCoordsField(t->snapshots, shards);
   if (outcome == TxnOutcome::kCommitted && !response.read_only) {
     response.commit_version = t->writeset.commit_version;
-    if (sharded()) response.shard_versions = t->writeset.shard_versions;
+    response.shard_versions = t->writeset.shard_versions;
+    const ShardCoords commits(t->writeset.shard_versions,
+                              t->writeset.commit_version);
     for (TableId table : t->writeset.TablesWritten()) {
-      // Sharded mode: a table's fine-grained tag advances in its own
-      // shard's version space.
-      const DbVersion v =
-          sharded() ? ShardVersionOf(t->writeset.shard_versions,
-                                     shard_map_->ShardOf(table))
-                    : t->writeset.commit_version;
-      response.written_table_versions.emplace_back(table, v);
+      // A table's fine-grained tag advances in its own shard's version
+      // space.
+      response.written_table_versions.emplace_back(
+          table, commits.Of(shard_map_.ShardOf(table)));
     }
     for (const WriteOp& op : t->writeset.ops) {
       response.keys_written.emplace_back(op.table, op.key);

@@ -10,7 +10,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -92,16 +91,30 @@ struct ProxyConfig {
 };
 
 /// One replica's middleware component.
+///
+/// The proxy keeps one in-order apply stream per hosted shard, in that
+/// shard's own version space (with one shard: the certifier's global
+/// order, and the stream's version is V_local).  BEGIN waits until every
+/// touched hosted stream has published the load balancer's requirement;
+/// a writeset executes in an apply lane once no version gap or earlier
+/// conflicting writeset stands before it in any of its streams, and
+/// publishes when it is next in every one of them.
 class Proxy {
  public:
   using CertRequestCallback = std::function<void(const WriteSet&)>;
   using ResponseCallback = std::function<void(const TxnResponse&)>;
   using ReplicaCommittedCallback = std::function<void(TxnId)>;
-  using CreditCallback = std::function<void(int credits)>;
+  /// One credit per published refresh writeset, on the certifier lane
+  /// whose refresh channel delivered it.
+  using CreditCallback = std::function<void(ShardId lane, int credits)>;
 
+  /// `map` assigns tables to shards (copied; null: one shard holding
+  /// every table of `db`), `hosted` is the set of shards this replica
+  /// hosts (empty = all of them).
   Proxy(runtime::Runtime* rt, ReplicaId id, Database* db,
         const sql::TransactionRegistry* registry, ProxyConfig config,
-        bool eager);
+        bool eager, const ShardMap* map = nullptr,
+        std::vector<ShardId> hosted = {});
 
   /// Wires the writeset channel to the certifier.
   void SetCertRequestCallback(CertRequestCallback cb) {
@@ -120,48 +133,13 @@ class Proxy {
   /// (the default) the proxy accounts no credits at all.
   void SetCreditCallback(CreditCallback cb) { credit_cb_ = std::move(cb); }
 
-  /// Sharded credit returns: one credit per published refresh writeset,
-  /// on the (shard, replica) channel the certifier sent it on.
-  using ShardedCreditCallback = std::function<void(ShardId shard, int credits)>;
-  void SetShardedCreditCallback(ShardedCreditCallback cb) {
-    sharded_credit_cb_ = std::move(cb);
-  }
-
-  /// Switches this proxy into sharded (partitioned-certification) mode:
-  /// `map` outlives the proxy, `hosted` is the set of shards this
-  /// replica hosts (empty = all of them).  In sharded mode the proxy
-  /// keeps one in-order apply stream per hosted shard in that shard's
-  /// own version space, BEGIN waits on per-shard required versions, and
-  /// writesets apply when they are next in line in EVERY touched hosted
-  /// stream (serial within a stream, parallel across streams).  The
-  /// local database versions stay dense via ApplyWriteSetLocal.
-  void EnableSharding(const ShardMap* map, std::vector<ShardId> hosted);
-  bool sharded() const { return shard_map_ != nullptr; }
   bool HostsShard(ShardId shard) const {
     return stream_index_[static_cast<size_t>(shard)] >= 0;
   }
   const std::vector<ShardId>& hosted_shards() const { return hosted_shards_; }
-  /// Latest shard version published locally for a hosted shard.
+  /// Latest shard version published locally for a hosted shard (with one
+  /// shard: V_local).
   DbVersion ShardPublished(ShardId shard) const;
-
-  /// Sharded-mode dispatch: BEGIN is delayed until every hosted shard
-  /// named in `shard_required` has published its required version.
-  void OnTxnRequestSharded(
-      const TxnRequest& request,
-      const std::vector<std::pair<int32_t, DbVersion>>& shard_required);
-
-  /// Sharded-mode refresh delivery on one hosted shard's channel.  With
-  /// flow control on, each writeset carries one credit on that channel,
-  /// returned on publish (or immediately on duplicate delivery).
-  void OnShardedRefreshBatch(ShardId shard, const RefreshBatch& batch) {
-    for (const WriteSetRef& ws : batch.writesets) {
-      if (!IngestShardedRefresh(ws, shard,
-                                /*credited=*/sharded_credit_cb_ != nullptr) &&
-          sharded_credit_cb_) {
-        sharded_credit_cb_(shard, 1);
-      }
-    }
-  }
 
   /// Attaches the system's observability layer: per-transaction stage
   /// spans (start delay, statements, certification, ordering wait, commit,
@@ -176,30 +154,31 @@ class Proxy {
   void SetWaitCause(obs::WaitCause cause) { wait_cause_ = cause; }
 
   /// A routed transaction request arrives; the load balancer tagged it
-  /// with `required_version` — the replica delays BEGIN until
-  /// V_local >= required_version (the synchronization start delay).
-  void OnTxnRequest(const TxnRequest& request, DbVersion required_version);
+  /// with `required` — one (shard, version) pair per touched shard — and
+  /// the replica delays BEGIN until every one of those hosted streams
+  /// has published its version (the synchronization start delay).
+  void OnTxnRequest(const TxnRequest& request, const ShardVersions& required);
 
   /// The certifier's decision for a local update transaction.
   void OnCertDecision(const CertDecision& decision);
 
   /// A refresh writeset outside the credited channel (the recovery and
-  /// failover catch-up streams): never consumes or returns credits.  In
-  /// sharded mode it enters every touched hosted stream.
+  /// failover catch-up streams): never consumes or returns credits.  It
+  /// enters every touched hosted stream.
   void OnRefresh(const WriteSet& ws);
 
-  /// A refresh message from the certifier: one or more writesets (one
-  /// group-commit force's worth when refresh batching is on), unpacked
-  /// in order through the apply lanes.  The batch carries references to
-  /// the certifier's frozen writesets — ingesting one is a refcount
-  /// bump, not a row-image copy.  With flow control on, each writeset
-  /// carries one credit: returned on publish, or immediately when the
-  /// writeset is not accepted (duplicate delivery).
-  void OnRefreshBatch(const RefreshBatch& batch) {
+  /// A refresh message from certifier lane `lane`: one or more writesets
+  /// (one group-commit force's worth when refresh batching is on),
+  /// unpacked in order through the apply lanes.  The batch carries
+  /// references to the certifier's frozen writesets — ingesting one is a
+  /// refcount bump, not a row-image copy.  With flow control on, each
+  /// writeset carries one credit on that lane: returned on publish, or
+  /// immediately when the writeset is not accepted (duplicate delivery).
+  void OnRefreshBatch(ShardId lane, const RefreshBatch& batch) {
     for (const WriteSetRef& ws : batch.writesets) {
-      if (!IngestRefresh(ws, /*credited=*/credit_cb_ != nullptr) &&
+      if (!IngestRefresh(ws, lane, /*credited=*/credit_cb_ != nullptr) &&
           credit_cb_) {
-        credit_cb_(1);
+        credit_cb_(lane, 1);
       }
     }
   }
@@ -225,7 +204,8 @@ class Proxy {
   /// Received writesets at or below V are dropped (returning their
   /// credits) and the apply pipeline resumes above V; the event log gets
   /// one kRecover "snapshot" event carrying V, where the auditor's
-  /// apply-order check resumes.  Requires a restarted, idle replica.
+  /// apply-order check resumes.  Requires a restarted, idle replica of a
+  /// one-shard configuration (a snapshot carries one version).
   void InstallSnapshot(const DatabaseSnapshot& snapshot);
 
   bool down() const { return down_; }
@@ -250,20 +230,17 @@ class Proxy {
   /// Refresh/local writesets received but not yet published: queued,
   /// executing in an apply lane, or executed awaiting the in-order
   /// version publish.
-  size_t pending_writesets() const {
-    return pending_.size() + executing_.size() + executed_.size() +
-           sharded_pending_.size();
-  }
+  size_t pending_writesets() const { return applies_.size(); }
   /// High-water mark of pending_writesets() over the proxy's lifetime —
   /// what the refresh credit window is supposed to bound.
   size_t peak_pending_writesets() const { return peak_pending_writesets_; }
   /// Writesets executed out of order, waiting for an earlier version to
   /// finish before V_local may advance over them.
-  size_t publish_backlog() const { return executed_.size(); }
+  size_t publish_backlog() const { return executed_count_; }
 
   Resource* cpu() { return &cpu_; }
-  /// The apply-lane slot pool (its Busy()/Utilization() report lane
-  /// occupancy).
+  /// The apply-lane slot pool (`apply_lanes` per hosted stream; its
+  /// Busy()/Utilization() report lane occupancy).
   Resource* apply_lanes() { return &apply_lanes_; }
   int64_t refresh_applied_count() const { return refresh_applied_; }
   int64_t early_abort_count() const { return early_aborts_; }
@@ -271,16 +248,20 @@ class Proxy {
   /// The oldest snapshot any active transaction reads at (V_local when
   /// idle) — the MVCC garbage-collection horizon.
   DbVersion OldestActiveSnapshot() const;
-  /// Sharded mode: the oldest snapshot any active transaction reads at in
-  /// hosted `shard`'s version space (its published version when idle) —
-  /// that certifier lane's pruning horizon at this replica.
-  DbVersion OldestShardSnapshot(ShardId shard) const;
+  /// The same in hosted `shard`'s version space (its published version
+  /// when idle) — that certifier lane's pruning horizon at this replica.
+  DbVersion OldestActiveSnapshot(ShardId shard) const;
 
  private:
   /// A client transaction in flight at this replica.
   struct ActiveTxn {
     TxnRequest request;
-    DbVersion required_version = 0;  ///< the load balancer's version tag
+    /// The load balancer's version tag: per touched shard, the version
+    /// its hosted stream must publish before BEGIN.
+    ShardVersions required;
+    /// Per hosted shard, the published version when BEGIN executed — the
+    /// transaction's snapshot coordinates.
+    ShardVersions snapshots;
     const sql::PreparedTransaction* prepared = nullptr;
     std::unique_ptr<Transaction> txn;
     size_t next_stmt = 0;
@@ -292,12 +273,6 @@ class Proxy {
     bool aborted_early = false;     // flagged by early certification
     bool awaiting_decision = false;  // writeset at the certifier
     bool awaiting_global = false;    // eager: waiting for global commit
-
-    /// Sharded mode: the per-shard version tags the request carried, and
-    /// the hosted shards' published versions captured at BEGIN (the
-    /// transaction's per-shard snapshot coordinates).
-    std::vector<std::pair<int32_t, DbVersion>> shard_required;
-    std::vector<std::pair<int32_t, DbVersion>> shard_snapshots;
     // Eager: the global commit arrived before the local commit finished
     // (possible when a crash lowers the membership bar).
     bool global_done_early = false;
@@ -316,104 +291,98 @@ class Proxy {
     StageTimes stages;
   };
 
-  /// An entry waiting its turn in the global commit order.  The writeset
-  /// is a frozen reference: refresh entries share the certifier's object,
+  /// A received writeset on its way to publication.  The writeset is a
+  /// frozen reference: refresh entries share the certifier's object,
   /// local entries freeze their own copy at decision time.
   struct PendingApply {
     WriteSetRef ws;
-    bool is_local = false;  // local client commit vs. refresh
-    /// Arrived through the credited refresh channel; publishing it
-    /// returns one credit to the certifier.
-    bool credited = false;
-    TxnId local_txn = 0;
-    TimePoint enqueue_time = 0;
-    /// When the contiguity watermark crossed this version (it became
-    /// dispatchable gap-wise); splits the ordering wait into gap wait vs.
-    /// lane wait for the profiler.
-    TimePoint ready_time = 0;
-  };
-
-  /// Queues one refresh writeset through the apply pipeline; returns
-  /// false when it is dropped instead (down, or duplicate delivery).
-  bool IngestRefresh(WriteSetRef ws, bool credited);
-
-  /// One in-order apply stream per hosted shard (sharded mode).
-  struct ShardStream {
-    DbVersion published = 0;  ///< latest shard version applied locally
-    bool applying = false;    ///< the head writeset is executing
-    /// Received writesets by shard version; the head applies only when
-    /// its version is published + 1 (the streams are dense: a hosting
-    /// replica receives every writeset touching its shard).
-    std::map<DbVersion, TxnId> queue;
-  };
-
-  /// One writeset moving through the sharded apply streams.
-  struct ShardedApply {
-    WriteSetRef ws;
-    /// (shard, version) for the touched shards this replica hosts.
-    std::vector<std::pair<ShardId, DbVersion>> hosted_versions;
     /// The writeset restricted to hosted shards — what actually applies
     /// locally (aliases `ws` when every touched shard is hosted).
-    WriteSetRef hosted_sub;
-    bool is_local = false;
+    WriteSetRef hosted;
+    /// (shard, version) in each touched hosted stream.
+    ShardVersions versions;
+    bool is_local = false;  // local client commit vs. refresh
     /// A refresh copy of a local transaction's own commit (delivered by
     /// the failover catch-up before its decision): publishing it
     /// finishes that transaction.
     bool claimed = false;
+    /// Arrived through the credited refresh channel of `credit_lane`;
+    /// publishing it returns one credit to the certifier.
     bool credited = false;
-    ShardId credit_shard = -1;
+    ShardId credit_lane = 0;
+    bool dispatched = false;  // executing or executed
+    bool executed = false;    // awaiting the in-order publish
     TimePoint enqueue_time = 0;
+    /// When the contiguity watermarks crossed this writeset in all its
+    /// streams (it became dispatchable gap-wise); splits the ordering
+    /// wait into gap wait vs. lane wait for the profiler.
+    TimePoint ready_time = 0;
   };
 
-  /// Queues one sharded refresh writeset; false when dropped (duplicate).
-  bool IngestShardedRefresh(WriteSetRef ws, ShardId credit_shard,
-                            bool credited);
-  /// Enqueues one writeset (local or refresh) into its hosted streams.
-  void EnqueueShardedApply(ShardedApply apply);
-  /// Starts every stream-head writeset whose touched hosted streams all
-  /// have it next in line, until no further progress.
-  void DispatchShardedApplies();
-  void StartShardedApply(TxnId txn);
-  /// Completion of one sharded apply: installs the hosted writes,
-  /// advances every touched stream atomically, publishes side effects.
-  void FinishShardedApply(TxnId txn);
-  /// True when every hosted (shard, version) requirement is published.
-  bool ShardedRequirementMet(
-      const std::vector<std::pair<int32_t, DbVersion>>& required) const;
-  void ReleaseShardedBeginWaiters();
+  /// One hosted shard's in-order apply stream.
+  struct Stream {
+    DbVersion published = 0;   ///< latest version published locally
+    /// Every version in (published, contiguous] has been received — a
+    /// writeset above this gap must wait (an unseen earlier writeset
+    /// could conflict with it).
+    DbVersion contiguous = 0;
+    int busy_lanes = 0;  ///< writesets executing in this stream's lanes
+    /// Received writesets not yet dispatched, by version.
+    std::map<DbVersion, TxnId> queued;
+    /// Received writesets not yet published (queued, executing or
+    /// executed), by version.
+    std::map<DbVersion, TxnId> unpublished;
+    /// BEGINs whose first unmet requirement is in this stream.
+    std::multimap<DbVersion, TxnId> begin_waiters;
+  };
 
+  Stream& StreamOf(ShardId shard) {
+    return streams_[static_cast<size_t>(
+        stream_index_[static_cast<size_t>(shard)])];
+  }
+
+  /// Queues one refresh writeset through the apply pipeline; returns
+  /// false when it is dropped instead (down, or duplicate delivery).
+  bool IngestRefresh(WriteSetRef ws, ShardId credit_lane, bool credited);
+  /// True when the writeset is already received or published here.
+  bool IsReceived(const WriteSet& ws) const;
+  /// Enters one writeset (local or refresh) into its hosted streams.
+  void Enqueue(PendingApply apply);
+
+  /// Starts the transaction, or parks it on its first hosted stream that
+  /// has not yet published the required version.
+  void AdmitOrWait(ActiveTxn* t);
   void StartExecution(ActiveTxn* t);
   void ExecuteNextStatement(ActiveTxn* t);
   void OnStatementsDone(ActiveTxn* t);
-  /// Finishes decided local transactions whose commit version has been
-  /// applied locally (by either the local-apply or refresh channel).
-  void SettleLocalClaims();
   void FinishLocalCommit(ActiveTxn* t);
   void Respond(ActiveTxn* t, TxnOutcome outcome);
 
   /// Dispatches queued writesets into free apply lanes, lowest version
-  /// first, as long as the dispatch rule allows (no version gap below,
-  /// no conflict with an earlier un-published writeset).
+  /// first per stream, as long as the dispatch rule allows: a free lane
+  /// and no version gap below in every touched stream, no conflict with
+  /// an earlier un-published writeset, and no earlier queued writeset in
+  /// any touched stream except ones held back by such a conflict.
   void DispatchApplies();
-  /// Starts executing one queued writeset on a lane.
-  void StartApply(DbVersion version);
-  /// Publishes executed writesets in strict commit-version order:
-  /// advances V_local, fires the event log / eager reports / local-commit
-  /// settlement / BEGIN-waiter release for each version.
+  /// The lane and gap conditions in every stream of `apply`, and stream
+  /// order in each but `scanned` (whose scan already ensured it).
+  bool CanStart(const PendingApply& apply, const Stream* scanned);
+  /// Starts executing one queued writeset on a lane in each of its
+  /// streams.
+  void StartApply(TxnId txn);
+  /// Publishes executed writesets in strict per-stream version order,
+  /// each when it is next in every touched stream: advances the streams
+  /// and V_local in one step and fires the event log / eager reports /
+  /// local-commit settlement / BEGIN-waiter release for it.
   void PublishReady();
-  /// True when `version` is received but not yet published (queued,
-  /// executing, or awaiting publish).
-  bool IsUnpublished(DbVersion version) const;
-  /// Advances the received-contiguously watermark after an arrival.
+  void Publish(TxnId txn);
+  /// Advances the received-contiguously watermarks after an arrival.
   void AdvanceContiguous();
-  /// Releases transactions whose required version has been reached.
+  /// Releases transactions whose required versions have been reached.
   void ReleaseBeginWaiters();
   /// Early certification, arrival direction: aborts active local
   /// transactions whose partial writesets conflict with `ws`.
   void AbortConflictingActives(const WriteSet& ws);
-  /// Early certification, statement direction: true when the partial
-  /// writeset conflicts with any queued refresh writeset.
-  bool ConflictsWithPendingRefresh(const WriteSet& partial) const;
 
   /// Applies the stochastic service-time model to a mean cost.
   Duration Stochastic(Duration mean_cost);
@@ -436,47 +405,27 @@ class Proxy {
   ProxyConfig config_;
   bool eager_;
   Rng service_rng_;
+  ShardMap shard_map_;
+  std::vector<ShardId> hosted_shards_;
 
   Resource cpu_;
-  /// Apply-lane slot pool: one held slot per writeset currently
-  /// executing.  Execution time is still served by `cpu_` (applies
+  /// Apply-lane slot pool: one held slot per writeset per stream it is
+  /// executing in.  Execution time is still served by `cpu_` (applies
   /// compete with client statements for the replica cores, as before);
   /// the lanes only bound how many applies may be in flight at once.
   Resource apply_lanes_;
 
   std::unordered_map<TxnId, std::unique_ptr<ActiveTxn>> active_;
-  std::multimap<DbVersion, TxnId> begin_waiters_;
   std::multimap<DbVersion, std::function<void()>> version_waiters_;
-  /// Received writesets not yet dispatched, keyed by commit version.
-  std::map<DbVersion, PendingApply> pending_;
-  /// Versions currently executing in an apply lane.
-  std::set<DbVersion> executing_;
-  /// Executed out of order, awaiting the in-order version publish.
-  std::map<DbVersion, PendingApply> executed_;
+  /// shard -> index into streams_ (-1 = not hosted).
+  std::vector<int> stream_index_;
+  std::vector<Stream> streams_;
+  /// Every received, un-published writeset, by transaction.
+  std::unordered_map<TxnId, PendingApply> applies_;
+  size_t executed_count_ = 0;
   /// Keyed index over every un-published writeset, for O(|writeset|)
   /// early-certification probes and lane dispatch checks.
   PendingApplyIndex pending_index_;
-  /// Highest version v such that every version in (V_local, v] has been
-  /// received — a writeset above this gap must wait (an unseen earlier
-  /// writeset could conflict with it).
-  DbVersion contiguous_ = 0;
-  /// Sharded mode (null shard_map_ = single-stream mode, all of the
-  /// below unused).
-  const ShardMap* shard_map_ = nullptr;
-  std::vector<ShardId> hosted_shards_;
-  /// shard -> index into streams_ (-1 = not hosted).
-  std::vector<int> stream_index_;
-  std::vector<ShardStream> streams_;
-  std::unordered_map<TxnId, ShardedApply> sharded_pending_;
-  /// BEGINs waiting on per-shard required versions, rescanned on publish.
-  std::vector<TxnId> sharded_begin_waiters_;
-
-  /// Decided local transactions awaiting their version's local commit —
-  /// normally satisfied by the queued local apply, but after a certifier
-  /// failover the same writeset may arrive through the refresh/catch-up
-  /// channel instead; whichever channel commits the version finishes the
-  /// transaction.
-  std::map<DbVersion, TxnId> local_claims_;
 
   int64_t refresh_applied_ = 0;
   int64_t early_aborts_ = 0;
@@ -503,7 +452,6 @@ class Proxy {
   ResponseCallback response_cb_;
   ReplicaCommittedCallback replica_committed_cb_;
   CreditCallback credit_cb_;
-  ShardedCreditCallback sharded_credit_cb_;
 };
 
 }  // namespace screp

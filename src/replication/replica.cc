@@ -3,11 +3,13 @@
 namespace screp {
 
 Replica::Replica(runtime::Runtime* rt, ReplicaId id,
+                 std::unique_ptr<Database> db,
                  const sql::TransactionRegistry* registry,
-                 ProxyConfig config, bool eager)
-    : id_(id), db_(std::make_unique<Database>()) {
+                 ProxyConfig config, bool eager, const ShardMap* map,
+                 std::vector<ShardId> hosted)
+    : id_(id), db_(std::move(db)) {
   proxy_ = std::make_unique<Proxy>(rt, id, db_.get(), registry, config,
-                                   eager);
+                                   eager, map, std::move(hosted));
 }
 
 }  // namespace screp

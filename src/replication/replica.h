@@ -13,9 +13,11 @@ namespace screp {
 /// One node of the replicated system.
 class Replica {
  public:
-  Replica(runtime::Runtime* rt, ReplicaId id,
+  /// `db` holds the replica's schema and initial rows; `map` and
+  /// `hosted` are the proxy's shard map and hosted shard-set.
+  Replica(runtime::Runtime* rt, ReplicaId id, std::unique_ptr<Database> db,
           const sql::TransactionRegistry* registry, ProxyConfig config,
-          bool eager);
+          bool eager, const ShardMap* map, std::vector<ShardId> hosted);
 
   ReplicaId id() const { return id_; }
   Database* db() { return db_.get(); }

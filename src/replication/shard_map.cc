@@ -25,6 +25,7 @@ ShardMap::ShardMap(std::vector<ShardId> table_to_shard, int shards)
 }
 
 ShardId ShardMap::ShardOf(TableId table) const {
+  if (shards_ == 1) return 0;  // one shard holds every table
   SCREP_CHECK_MSG(table >= 0 &&
                       static_cast<size_t>(table) < table_to_shard_.size(),
                   "table " << table << " not covered by the shard map");
@@ -74,15 +75,6 @@ WriteSet ShardMap::SubWriteSet(const WriteSet& ws, ShardId shard) const {
     sub.read_ranges.push_back(range);
   }
   return sub;
-}
-
-DbVersion ShardVersionOf(
-    const std::vector<std::pair<ShardId, DbVersion>>& versions,
-    ShardId shard, DbVersion missing) {
-  for (const auto& [s, v] : versions) {
-    if (s == shard) return v;
-  }
-  return missing;
 }
 
 }  // namespace screp

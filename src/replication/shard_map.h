@@ -20,13 +20,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/shard_coords.h"
 #include "common/types.h"
 #include "storage/write_set.h"
 
 namespace screp {
-
-/// Dense shard identifier in [0, shard_count).
-using ShardId = int32_t;
 
 /// Immutable table -> shard assignment shared by the certifier's lanes,
 /// the proxies, the load balancer and the auditor.
@@ -41,6 +39,7 @@ class ShardMap {
   int shard_count() const { return shards_; }
   size_t table_count() const { return table_to_shard_.size(); }
 
+  /// The shard holding `table` (with one shard: 0 for every table).
   ShardId ShardOf(TableId table) const;
 
   /// Sorted distinct shards touched by `tables`.
@@ -68,13 +67,6 @@ class ShardMap {
   std::vector<ShardId> table_to_shard_;
   int shards_;
 };
-
-/// Looks a shard's entry up in a sparse (shard, version) vector, the
-/// representation used for per-shard commit versions and snapshots on
-/// writesets, decisions and events.  Returns `missing` when absent.
-DbVersion ShardVersionOf(
-    const std::vector<std::pair<ShardId, DbVersion>>& versions,
-    ShardId shard, DbVersion missing = 0);
 
 }  // namespace screp
 

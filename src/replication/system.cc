@@ -54,29 +54,25 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
                            "replica-" + std::to_string(r));
   }
 
-  // Replicas first: all populated identically and deterministically.
+  // Replica databases first: all populated identically and
+  // deterministically.
+  std::vector<std::unique_ptr<Database>> dbs;
   for (ReplicaId r = 0; r < config.replica_count; ++r) {
-    ProxyConfig proxy_config = config.proxy;
-    proxy_config.seed = config.seed;
-    proxy_config.attach_read_sets =
-        config.certifier.mode == CertificationMode::kSerializable;
-    auto replica = std::make_unique<Replica>(
-        rt, r, &system->registry_, proxy_config, eager);
-    SCREP_RETURN_NOT_OK(schema_builder(replica->db()));
-    system->replicas_.push_back(std::move(replica));
+    dbs.push_back(std::make_unique<Database>());
+    SCREP_RETURN_NOT_OK(schema_builder(dbs.back().get()));
   }
 
   // Prepare the workload's transactions against replica 0's catalog; the
   // registry is shared, and table ids match across replicas because the
   // schema builder runs identically on each.
-  Database* db0 = system->replicas_[0]->db();
+  Database* db0 = dbs[0].get();
   SCREP_RETURN_NOT_OK(txn_definer(*db0, &system->registry_));
 
   // Persist the table-set catalog into every replica (§IV-B: "storing the
   // transaction table-set information in the database") and load it back
   // for the load balancer, resolved to table ids.
-  for (auto& replica : system->replicas_) {
-    SCREP_RETURN_NOT_OK(system->registry_.PersistCatalog(replica->db()));
+  for (auto& db : dbs) {
+    SCREP_RETURN_NOT_OK(system->registry_.PersistCatalog(db.get()));
   }
   SCREP_ASSIGN_OR_RETURN(auto name_sets,
                          sql::TransactionRegistry::LoadCatalog(*db0));
@@ -101,39 +97,39 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
     system->shard_map_ =
         std::make_unique<ShardMap>(db0->TableCount(), shard_lanes);
   }
-  if (shard_lanes > 1) {
-    // Every shard needs at least one hosting replica or its stream has
-    // no apply site at all.
-    if (!config.hosted_shards.empty()) {
-      std::vector<bool> covered(static_cast<size_t>(shard_lanes), false);
-      for (size_t r = 0;
-           r < config.hosted_shards.size() &&
-           r < static_cast<size_t>(config.replica_count);
-           ++r) {
-        if (config.hosted_shards[r].empty()) {
-          covered.assign(static_cast<size_t>(shard_lanes), true);
-          break;
-        }
-        for (ShardId s : config.hosted_shards[r]) {
-          covered[static_cast<size_t>(s)] = true;
-        }
-      }
-      if (config.hosted_shards.size() <
-          static_cast<size_t>(config.replica_count)) {
+  // Every shard needs at least one hosting replica or its stream has no
+  // apply site at all.
+  if (!config.hosted_shards.empty()) {
+    std::vector<bool> covered(static_cast<size_t>(shard_lanes), false);
+    for (size_t r = 0;
+         r < config.hosted_shards.size() &&
+         r < static_cast<size_t>(config.replica_count);
+         ++r) {
+      if (config.hosted_shards[r].empty()) {
         covered.assign(static_cast<size_t>(shard_lanes), true);
+        break;
       }
-      for (bool c : covered) {
-        if (!c) return Status::InvalidArgument("unhosted shard");
+      for (ShardId s : config.hosted_shards[r]) {
+        covered[static_cast<size_t>(s)] = true;
       }
     }
-    for (ReplicaId r = 0; r < config.replica_count; ++r) {
-      std::vector<ShardId> hosted =
-          static_cast<size_t>(r) < config.hosted_shards.size()
-              ? config.hosted_shards[static_cast<size_t>(r)]
-              : std::vector<ShardId>{};
-      system->replicas_[static_cast<size_t>(r)]->proxy()->EnableSharding(
-          system->shard_map_.get(), std::move(hosted));
+    if (config.hosted_shards.size() <
+        static_cast<size_t>(config.replica_count)) {
+      covered.assign(static_cast<size_t>(shard_lanes), true);
     }
+    for (bool c : covered) {
+      if (!c) return Status::InvalidArgument("unhosted shard");
+    }
+  }
+  for (ReplicaId r = 0; r < config.replica_count; ++r) {
+    ProxyConfig proxy_config = config.proxy;
+    proxy_config.seed = config.seed;
+    proxy_config.attach_read_sets =
+        config.certifier.mode == CertificationMode::kSerializable;
+    system->replicas_.push_back(std::make_unique<Replica>(
+        rt, r, std::move(dbs[static_cast<size_t>(r)]), &system->registry_,
+        proxy_config, eager, system->shard_map_.get(),
+        system->HostedShards(r)));
   }
   system->certifier_ = std::make_unique<Certifier>(
       rt, config.certifier, config.replica_count, eager, *system->shard_map_);
@@ -153,28 +149,14 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
     system->standby_certifier_->SetMuted(true);
   }
   system->table_sets_ = std::move(id_sets);
-  system->load_balancer_ = std::make_unique<LoadBalancer>(
-      rt, config.level, db0->TableCount(), config.replica_count,
-      config.routing, config.staleness_bound, config.admission);
-  system->load_balancer_->SetTableSets(system->table_sets_);
-  if (shard_lanes > 1) {
-    system->load_balancer_->EnableSharding(system->shard_map_.get(),
-                                           config.hosted_shards);
-  }
+  system->load_balancer_ = system->MakeLoadBalancer();
 
   system->BuildChannels();
   system->Wire();
   system->obs_->ConfigureAuditor(
       ProvidesStrongConsistency(config.level),
-      config.level != ConsistencyLevel::kBoundedStaleness);
-  // The auditor exists only when auditing is on.
-  if (obs::Auditor* auditor = system->obs_->auditor();
-      auditor != nullptr && shard_lanes > 1) {
-    auditor->EnableSharding(
-        std::vector<int32_t>(system->shard_map_->table_to_shard().begin(),
-                             system->shard_map_->table_to_shard().end()),
-        shard_lanes);
-  }
+      config.level != ConsistencyLevel::kBoundedStaleness,
+      system->shard_map_->table_to_shard(), shard_lanes);
   system->obs_->ConfigureHealth(config.replica_count);
   system->RegisterGauges();
   system->obs_->StartSampling();
@@ -244,10 +226,6 @@ void ReplicatedSystem::RegisterGauges() {
     Proxy* proxy = replicas_[static_cast<size_t>(r)]->proxy();
     // Lag of the replica's most-behind hosted lane stream.
     registry->RegisterCallbackGauge(prefix + "version_lag", [this, proxy]() {
-      if (!proxy->sharded()) {
-        return static_cast<double>(certifier_->CommitVersion() -
-                                   proxy->v_local());
-      }
       DbVersion lag = 0;
       for (ShardId s : proxy->hosted_shards()) {
         lag = std::max(lag,
@@ -338,12 +316,8 @@ void ReplicatedSystem::BuildChannels() {
         rt_, "dispatch" + tag, net.lb_replica, seeder.Next());
     dispatch->SetDestination(replica_ep);
     dispatch->SetHandler([this, r](const RoutedRequest& routed) {
-      Proxy* proxy = replicas_[static_cast<size_t>(r)]->proxy();
-      if (proxy->sharded()) {
-        proxy->OnTxnRequestSharded(routed.request, routed.shard_required);
-      } else {
-        proxy->OnTxnRequest(routed.request, routed.required_version);
-      }
+      replicas_[static_cast<size_t>(r)]->proxy()->OnTxnRequest(
+          routed.request, routed.required);
     });
     dispatch->AttachMetrics(registry);
     ch_dispatch_.push_back(std::move(dispatch));
@@ -402,12 +376,7 @@ void ReplicatedSystem::BuildChannels() {
       refresh->SetSizeFn(
           [](const RefreshBatch& batch) { return batch.SerializedBytes(); });
       refresh->SetHandler([this, r, s](const RefreshBatch& batch) {
-        Proxy* proxy = replicas_[static_cast<size_t>(r)]->proxy();
-        if (proxy->sharded()) {
-          proxy->OnShardedRefreshBatch(s, batch);
-        } else {
-          proxy->OnRefreshBatch(batch);
-        }
+        replicas_[static_cast<size_t>(r)]->proxy()->OnRefreshBatch(s, batch);
       });
       refresh->AttachMetrics(registry);
       refresh_streams[static_cast<size_t>(s)] = std::move(refresh);
@@ -557,15 +526,12 @@ void ReplicatedSystem::Wire() {
     });
     // Refresh flow control: only wired when the certifier runs with a
     // credit window — an unset callback keeps the proxy's refresh path
-    // exactly as before.  A single-stream proxy returns lane 0's credits.
+    // exactly as before.
     if (config_.certifier.refresh_credit_window > 0) {
-      auto send_credit = [this, r](ShardId lane, int credits) {
+      proxy->SetCreditCallback([this, r](ShardId lane, int credits) {
         ch_credit_[static_cast<size_t>(r)][static_cast<size_t>(lane)]->Send(
             credits);
-      };
-      proxy->SetCreditCallback(
-          [send_credit](int credits) { send_credit(0, credits); });
-      proxy->SetShardedCreditCallback(send_credit);
+      });
     }
   }
 
@@ -577,15 +543,9 @@ void ReplicatedSystem::WireLoadBalancer() {
   // Load balancer -> replica proxy (request dispatch).
   load_balancer_->SetDispatchCallback(
       [this](ReplicaId replica, const TxnRequest& request,
-             DbVersion required) {
+             const ShardVersions& required) {
         ch_dispatch_[static_cast<size_t>(replica)]->Send(
-            RoutedRequest{request, required, {}});
-      });
-  load_balancer_->SetShardedDispatchCallback(
-      [this](ReplicaId replica, const TxnRequest& request,
-             std::vector<std::pair<ShardId, DbVersion>> shard_required) {
-        ch_dispatch_[static_cast<size_t>(replica)]->Send(
-            RoutedRequest{request, 0, std::move(shard_required)});
+            RoutedRequest{request, required});
       });
   // Load balancer -> client (acknowledgments).
   load_balancer_->SetClientResponseCallback(
@@ -607,25 +567,34 @@ void ReplicatedSystem::EmitFaultEvent(obs::EventKind kind,
   log->Append(std::move(e));
 }
 
+std::unique_ptr<LoadBalancer> ReplicatedSystem::MakeLoadBalancer() const {
+  auto lb = std::make_unique<LoadBalancer>(
+      rt_, config_.level, shard_map_->table_count(), config_.replica_count,
+      config_.routing, config_.staleness_bound, config_.admission,
+      shard_map_.get(), config_.hosted_shards);
+  lb->SetTableSets(table_sets_);
+  return lb;
+}
+
 void ReplicatedSystem::CrashLoadBalancer() {
-  SCREP_CHECK_MSG(!sharded(),
-                  "LB failover unsupported with partitioned certification");
   ++lb_failovers_;
   EmitFaultEvent(obs::EventKind::kFailover, "lb", kNoReplica);
+  // The floor per shard: each certifier lane's current commit version.
+  ShardVersions floors;
+  for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
+    floors.emplace_back(s, certifier_->CommitVersion(s));
+  }
   SCREP_LOG(kWarn) << "[system] load balancer crash (failover #"
                    << lb_failovers_ << "): promoting a standby with "
                       "conservative floor "
                    << certifier_->CommitVersion();
-  // The standby holds no soft state: it learns the replica set and the
-  // table-set dictionary from configuration/catalog, re-initializes its
-  // version trackers conservatively from the certifier, and re-marks
-  // crashed replicas (hard state it can re-probe).
-  auto standby = std::make_unique<LoadBalancer>(
-      rt_, config_.level, replicas_[0]->db()->TableCount(),
-      config_.replica_count, config_.routing, config_.staleness_bound,
-      config_.admission);
-  standby->SetTableSets(table_sets_);
-  standby->PromoteFrom(certifier_->CommitVersion());
+  // The standby holds no soft state: it learns the replica set, the shard
+  // map and the table-set dictionary from configuration/catalog,
+  // re-initializes its version trackers conservatively from the
+  // certifier, and re-marks crashed replicas (hard state it can
+  // re-probe).
+  std::unique_ptr<LoadBalancer> standby = MakeLoadBalancer();
+  standby->PromoteFrom(floors);
   for (ReplicaId r = 0; r < config_.replica_count; ++r) {
     const auto idx = static_cast<size_t>(r);
     if (replicas_[idx]->proxy()->down() || rejoining_[idx]) {
@@ -693,8 +662,7 @@ void ReplicatedSystem::CrashCertifier() {
       if (proxy->down()) return;
       for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
         if (!ReplicaHostsShard(r, s)) continue;
-        const DbVersion from =
-            proxy->sharded() ? proxy->ShardPublished(s) : proxy->v_local();
+        const DbVersion from = proxy->ShardPublished(s);
         // Only a replica still rejoining (restarted below the retained
         // log) can lag the floor; its own recovery catch-up serves it.
         if (from < certifier_->FetchFloor(s)) continue;
@@ -830,14 +798,20 @@ bool ReplicatedSystem::IsReplicaDown(ReplicaId replica) const {
   return replicas_[static_cast<size_t>(replica)]->proxy()->down();
 }
 
+const std::vector<ShardId>& ReplicatedSystem::HostedShards(
+    ReplicaId replica) const {
+  static const std::vector<ShardId> kEverything;
+  const auto& hosted = config_.hosted_shards;
+  return static_cast<size_t>(replica) < hosted.size()
+             ? hosted[static_cast<size_t>(replica)]
+             : kEverything;
+}
+
 bool ReplicatedSystem::ReplicaHostsShard(ReplicaId replica,
                                          ShardId shard) const {
-  if (!sharded()) return true;
-  const auto& hosted = config_.hosted_shards;
-  if (static_cast<size_t>(replica) >= hosted.size()) return true;
-  const auto& set = hosted[static_cast<size_t>(replica)];
-  if (set.empty()) return true;  // empty set = hosts everything
-  return std::find(set.begin(), set.end(), shard) != set.end();
+  const std::vector<ShardId>& set = HostedShards(replica);
+  // An empty set hosts everything.
+  return set.empty() || std::find(set.begin(), set.end(), shard) != set.end();
 }
 
 void ReplicatedSystem::SetReplicaLinksPartitioned(ReplicaId replica,
@@ -922,8 +896,7 @@ void ReplicatedSystem::SweepLowWaterMark() {
     for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
       if (!ReplicaHostsShard(r, s)) continue;
       DbVersion& h = horizon[static_cast<size_t>(s)];
-      h = std::min(h, proxy->sharded() ? proxy->OldestShardSnapshot(s)
-                                       : oldest);
+      h = std::min(h, proxy->OldestActiveSnapshot(s));
     }
   }
   for (ShardId s = 0; s < certifier_->lane_count(); ++s) {

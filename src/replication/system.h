@@ -177,9 +177,9 @@ class ReplicatedSystem {
   bool CertifierFailedOver() const { return certifier_failed_over_; }
 
   /// Crash-stop failure of the load balancer; a standby with empty soft
-  /// state takes over, re-initialized conservatively from the certifier's
-  /// current commit version so no consistency guarantee weakens (§IV:
-  /// "a standby load balancer can be used for availability").
+  /// state takes over, re-initialized conservatively from each certifier
+  /// lane's current commit version so no consistency guarantee weakens
+  /// (§IV: "a standby load balancer can be used for availability").
   void CrashLoadBalancer();
 
   /// How many times the load balancer has failed over.
@@ -261,8 +261,13 @@ class ReplicatedSystem {
   /// (Re)wires the active load balancer's channels.
   void WireLoadBalancer();
 
+  /// `replica`'s configured shard-set (empty = hosts everything).
+  const std::vector<ShardId>& HostedShards(ReplicaId replica) const;
   /// True when `replica` hosts certifier lane `shard` (always at K = 1).
   bool ReplicaHostsShard(ReplicaId replica, ShardId shard) const;
+  /// A load balancer over this system's replicas, shard map and
+  /// table-set catalog (the initial one, or a promoted standby).
+  std::unique_ptr<LoadBalancer> MakeLoadBalancer() const;
   /// The channel-name suffix of one (lane, replica) stream: ".rN" at
   /// K = 1, ".sS.rN" at K > 1.
   std::string LaneTag(ShardId shard, ReplicaId replica) const;

@@ -11,25 +11,36 @@
 namespace screp {
 namespace {
 
+// One-shard shorthands: shard 0's requirement, and an acknowledgment
+// tagged with shard 0's V_local.
+DbVersion Required(const SyncPolicy& policy, SessionId session,
+                   const std::vector<TableId>& table_set) {
+  return policy.RequiredStartVersion(session, {0}, table_set).at(0).second;
+}
+void Ack(SyncPolicy* policy, SessionId session, DbVersion v_local,
+         const std::vector<std::pair<TableId, DbVersion>>& written) {
+  policy->OnCommitAcknowledged(session, {{0, v_local}}, written);
+}
+
 TEST(BoundedStalenessPolicyTest, RequiredVersionLagsByBound) {
   SyncPolicy policy(ConsistencyLevel::kBoundedStaleness, 2,
                     /*staleness_bound=*/10);
-  policy.OnCommitAcknowledged(1, 25, {});
-  EXPECT_EQ(policy.RequiredStartVersion(2, {}), 15);
+  Ack(&policy, 1, 25, {});
+  EXPECT_EQ(Required(policy, 2, {}), 15);
   // Below the bound nothing is required.
   SyncPolicy fresh(ConsistencyLevel::kBoundedStaleness, 2, 10);
-  fresh.OnCommitAcknowledged(1, 7, {});
-  EXPECT_EQ(fresh.RequiredStartVersion(2, {}), 0);
+  Ack(&fresh, 1, 7, {});
+  EXPECT_EQ(Required(fresh, 2, {}), 0);
 }
 
 TEST(BoundedStalenessPolicyTest, BoundZeroDegeneratesToCoarse) {
   SyncPolicy bounded(ConsistencyLevel::kBoundedStaleness, 2, 0);
   SyncPolicy coarse(ConsistencyLevel::kLazyCoarse, 2);
   for (DbVersion v : {3, 9, 42}) {
-    bounded.OnCommitAcknowledged(1, v, {});
-    coarse.OnCommitAcknowledged(1, v, {});
-    EXPECT_EQ(bounded.RequiredStartVersion(2, {}),
-              coarse.RequiredStartVersion(2, {}));
+    Ack(&bounded, 1, v, {});
+    Ack(&coarse, 1, v, {});
+    EXPECT_EQ(Required(bounded, 2, {}),
+              Required(coarse, 2, {}));
   }
 }
 

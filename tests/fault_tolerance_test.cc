@@ -143,15 +143,20 @@ struct DirectRun {
 
   /// Submits `n` single-row updates and runs them to completion.
   void SubmitUpdates(int n) {
-    for (int i = 0; i < n; ++i) {
-      TxnRequest req;
-      req.txn_id = system->NextTxnId();
-      req.type = *system->registry().Find("update_item0");
-      req.session = 1;
-      req.params = {{Value(1), Value(next_key++ % 200)}};
-      system->Submit(std::move(req));
-    }
+    for (int i = 0; i < n; ++i) SubmitUpdate();
     sim.RunAll();
+  }
+
+  /// Submits one single-row update without running the simulator.
+  TxnId SubmitUpdate() {
+    TxnRequest req;
+    req.txn_id = system->NextTxnId();
+    req.type = *system->registry().Find("update_item0");
+    req.session = 1;
+    req.params = {{Value(1), Value(next_key++ % 200)}};
+    const TxnId txn = req.txn_id;
+    system->Submit(std::move(req));
+    return txn;
   }
 
   /// Replica `r`'s item0 rows at its committed version.
@@ -247,6 +252,48 @@ TEST(FaultToleranceTest, RecoveryBelowTheRetainedLogRejoinsFromAPeerSnapshot) {
     run.SubmitUpdates(30);
     run.ExpectConverged();
   }
+}
+
+// Recovery raises the eager bar: an update certified but not yet
+// globally committed when replica 2 comes back needs replica 2's commit
+// report too.  Here the live replicas apply it before replica 2's
+// snapshot is taken, so replica 2 only ever holds it through the
+// snapshot — the rejoin must report it as the apply path would, or its
+// global commit (and the client) waits forever.
+TEST(FaultToleranceTest, EagerRejoinReportsCommitsItsSnapshotHolds) {
+  // One-way replica <-> certifier latency of 10 ms: the update's
+  // decision and refreshes (and so its commit reports) are still in
+  // flight when recovery starts, and the peers apply it well inside the
+  // 20 ms catch-up round trip.
+  DirectRun run(3, ConsistencyLevel::kEager, Millis(10));
+  run.SubmitUpdates(10);
+  run.system->CrashReplica(2);
+  const DbVersion at_crash = run.VLocal(2);
+  for (int round = 0; round < 40; ++round) run.SubmitUpdates(10);
+  ASSERT_GT(run.system->certifier()->FetchFloor(), at_crash);
+
+  DbVersion certified = kNoVersion;
+  DbVersion snapshot = kNoVersion;
+  TxnId probe = 0;
+  run.system->obs()->event_log()->AddSink([&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kCertVerdict && e.committed &&
+        e.txn == probe) {
+      certified = e.commit_version;
+    } else if (e.kind == obs::EventKind::kRecover && e.replica == 2 &&
+               e.detail == "snapshot") {
+      snapshot = e.commit_version;
+    }
+  });
+  probe = run.SubmitUpdate();
+  while (certified == kNoVersion) run.sim.RunUntil(run.sim.Now() + Micros(50));
+  run.system->RecoverReplica(2);
+  run.sim.RunAll();
+  // The scenario happened: the snapshot holds the update certified just
+  // before recovery.
+  EXPECT_EQ(run.system->snapshot_rejoins(), 1);
+  EXPECT_GE(snapshot, certified);
+  run.SubmitUpdates(20);
+  run.ExpectConverged();
 }
 
 // The only live peer is down too: recovery below the retained log must

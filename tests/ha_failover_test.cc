@@ -211,8 +211,12 @@ TEST_F(HaFailoverTest, PromotedBalancerIsConservative) {
   // The new balancer lost the session map; its conservative floor must be
   // at least the certifier's commit version, so session guarantees hold.
   EXPECT_GE(system_->load_balancer()->policy().conservative_floor(), 10);
-  EXPECT_GE(
-      system_->load_balancer()->policy().RequiredStartVersion(1, {}), 10);
+  EXPECT_GE(system_->load_balancer()
+                ->policy()
+                .RequiredStartVersion(1, {0}, {})
+                .at(0)
+                .second,
+            10);
 }
 
 TEST_F(HaFailoverTest, InFlightResponsesRelayedAfterLbFailover) {

@@ -17,8 +17,9 @@ class LoadBalancerTest : public ::testing::Test {
                                          admission);
     lb_->SetDispatchCallback([this](ReplicaId replica,
                                     const TxnRequest& request,
-                                    DbVersion required) {
-      dispatches_.push_back({replica, request, required});
+                                    const ShardVersions& required) {
+      // One shard: the requirement is shard 0's version.
+      dispatches_.push_back({replica, request, required.at(0).second});
     });
     lb_->SetClientResponseCallback(
         [this](const TxnResponse& r) { client_responses_.push_back(r); });

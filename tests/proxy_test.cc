@@ -10,7 +10,10 @@ namespace {
 /// certifier.
 class ProxyTest : public ::testing::Test {
  protected:
-  void Build(bool eager = false, ProxyConfig config = ProxyConfig{}) {
+  /// `shards` > 1 partitions the two tables t and u round-robin (t in
+  /// shard 0, u in shard 1), one apply stream per shard.
+  void Build(bool eager = false, ProxyConfig config = ProxyConfig{},
+             int shards = 1) {
     auto table = db_.CreateTable(
         "t", Schema({{"id", ValueType::kInt64}, {"val", ValueType::kInt64}}));
     ASSERT_TRUE(table.ok());
@@ -47,8 +50,9 @@ class ProxyTest : public ::testing::Test {
       registry_.Register(std::move(txn));
     }
 
+    const ShardMap map(db_.TableCount(), shards);
     proxy_ = std::make_unique<Proxy>(&rt_, 0, &db_, &registry_, config,
-                                     eager);
+                                     eager, &map);
     proxy_->SetCertRequestCallback(
         [this](const WriteSet& ws) { cert_requests_.push_back(ws); });
     proxy_->SetResponseCallback(
@@ -91,7 +95,7 @@ class ProxyTest : public ::testing::Test {
 
 TEST_F(ProxyTest, ReadOnlyFastPath) {
   Build();
-  proxy_->OnTxnRequest(MakeRequest(1, "read", {{Value(3)}}), 0);
+  proxy_->OnTxnRequest(MakeRequest(1, "read", {{Value(3)}}), {{0, 0}});
   sim_.RunAll();
   ASSERT_EQ(responses_.size(), 1u);
   const TxnResponse& r = responses_[0];
@@ -107,7 +111,8 @@ TEST_F(ProxyTest, ReadOnlyFastPath) {
 
 TEST_F(ProxyTest, UpdateGoesThroughCertification) {
   Build();
-  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}), 0);
+  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}),
+                       {{0, 0}});
   sim_.RunAll();
   ASSERT_EQ(cert_requests_.size(), 1u);
   EXPECT_EQ(cert_requests_[0].txn_id, 1u);
@@ -132,7 +137,8 @@ TEST_F(ProxyTest, UpdateGoesThroughCertification) {
 
 TEST_F(ProxyTest, CertificationAbortRollsBack) {
   Build();
-  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}), 0);
+  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}),
+                       {{0, 0}});
   sim_.RunAll();
   proxy_->OnCertDecision(CertDecision{1, false, kNoVersion});
   sim_.RunAll();
@@ -146,7 +152,7 @@ TEST_F(ProxyTest, CertificationAbortRollsBack) {
 TEST_F(ProxyTest, SynchronizationStartDelay) {
   Build();
   // The load balancer demands version 2; the replica is at 0.
-  proxy_->OnTxnRequest(MakeRequest(1, "read", {{Value(3)}}), 2);
+  proxy_->OnTxnRequest(MakeRequest(1, "read", {{Value(3)}}), {{0, 2}});
   sim_.RunAll();
   EXPECT_TRUE(responses_.empty());  // blocked at BEGIN
   proxy_->OnRefresh(MakeRefresh(10, 1, 7));
@@ -183,7 +189,8 @@ TEST_F(ProxyTest, RefreshesApplyInVersionOrder) {
 TEST_F(ProxyTest, LocalCommitInterleavesWithRefreshOrder) {
   Build();
   // Local update certified at version 2; refresh v1 arrives afterwards.
-  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}), 0);
+  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}),
+                       {{0, 0}});
   sim_.RunAll();
   proxy_->OnCertDecision(CertDecision{1, true, 2});
   sim_.RunAll();
@@ -203,7 +210,8 @@ TEST_F(ProxyTest, EarlyCertificationAgainstPendingRefresh) {
   sim_.RunAll();
   ASSERT_EQ(proxy_->pending_writesets(), 1u);
   // A client update on key 3 must be aborted early.
-  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}), 0);
+  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}),
+                       {{0, 0}});
   sim_.RunAll();
   ASSERT_EQ(responses_.size(), 1u);
   EXPECT_EQ(responses_[0].outcome, TxnOutcome::kEarlyAbort);
@@ -217,7 +225,8 @@ TEST_F(ProxyTest, EarlyCertificationDisabledLetsCertifierDecide) {
   Build(false, config);
   proxy_->OnRefresh(MakeRefresh(12, 2, 3));
   sim_.RunAll();
-  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}), 0);
+  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}),
+                       {{0, 0}});
   sim_.RunAll();
   EXPECT_TRUE(responses_.empty());
   EXPECT_EQ(cert_requests_.size(), 1u);  // went to the certifier instead
@@ -229,7 +238,7 @@ TEST_F(ProxyTest, ArrivingRefreshAbortsConflictingActiveTxn) {
   // active when the conflicting refresh arrives.
   proxy_->OnTxnRequest(
       MakeRequest(1, "write2", {{Value(5), Value(3)}, {Value(5), Value(4)}}),
-      0);
+      {{0, 0}});
   // Let statement 1 execute but not the whole transaction.
   sim_.RunUntil(Micros(100));
   EXPECT_EQ(proxy_->active_transactions(), 1u);
@@ -243,7 +252,7 @@ TEST_F(ProxyTest, NonConflictingRefreshLeavesActiveTxnAlone) {
   Build();
   proxy_->OnTxnRequest(
       MakeRequest(1, "write2", {{Value(5), Value(3)}, {Value(5), Value(4)}}),
-      0);
+      {{0, 0}});
   sim_.RunUntil(Micros(100));
   proxy_->OnRefresh(MakeRefresh(11, 1, 9));  // different key
   sim_.RunAll();
@@ -254,7 +263,8 @@ TEST_F(ProxyTest, NonConflictingRefreshLeavesActiveTxnAlone) {
 
 TEST_F(ProxyTest, EagerHoldsResponseUntilGlobalCommit) {
   Build(/*eager=*/true);
-  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}), 0);
+  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}),
+                       {{0, 0}});
   sim_.RunAll();
   proxy_->OnCertDecision(CertDecision{1, true, 1});
   sim_.RunAll();
@@ -284,7 +294,7 @@ TEST_F(ProxyTest, ExecutionErrorRespondsWithoutCertification) {
   // conflict instead — "write" on key 3 twice in one txn is legal, so
   // craft a read of a missing row via a type that fails: parameter arity
   // mismatch triggers the execution error path.
-  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5)}}), 0);
+  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5)}}), {{0, 0}});
   sim_.RunAll();
   ASSERT_EQ(responses_.size(), 1u);
   EXPECT_EQ(responses_[0].outcome, TxnOutcome::kExecutionError);
@@ -293,7 +303,8 @@ TEST_F(ProxyTest, ExecutionErrorRespondsWithoutCertification) {
 
 TEST_F(ProxyTest, StageTimingsSumBelowTotalLatency) {
   Build();
-  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}), 0);
+  proxy_->OnTxnRequest(MakeRequest(1, "write", {{Value(5), Value(3)}}),
+                       {{0, 0}});
   sim_.RunAll();
   const SimTime decision_at = sim_.Now();
   proxy_->OnCertDecision(CertDecision{1, true, 1});
@@ -399,6 +410,100 @@ TEST_F(ProxyTest, CrashReleasesApplyLanes) {
   sim_.RunAll();
   EXPECT_EQ(proxy_->v_local(), 3);
   EXPECT_EQ(proxy_->apply_lanes()->Busy(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Two shards (t in shard 0, u in shard 1), two apply lanes per stream.
+// ---------------------------------------------------------------------
+
+/// `ws` placed at per-shard versions `versions` (the first is also the
+/// scalar commit version, as the certifier assigns it).
+WriteSet AtShardVersions(WriteSet ws, ShardVersions versions) {
+  ws.commit_version = versions.front().second;
+  ws.shard_versions = std::move(versions);
+  return ws;
+}
+
+/// An audited observability layer for a two-shard proxy: the auditor
+/// checks each (replica, shard) apply stream and every BEGIN admission.
+obs::ObsConfig AuditedConfig() {
+  obs::ObsConfig config;
+  config.audit = true;
+  return config;
+}
+
+TEST_F(ProxyTest, TwoShardLanesExecuteAheadButPublishInStreamOrder) {
+  Build(false, LaneConfig(2), /*shards=*/2);
+  obs::Observability obs(&rt_, AuditedConfig());
+  obs.ConfigureAuditor(true, true, {0, 1}, 2);
+  proxy_->SetObservability(&obs);
+  // Shard 0's version 1 is an 8-op refresh (21 ms); its version 2 is a
+  // 1-op refresh (3.5 ms) on another key — it runs in the stream's
+  // second lane while version 1 is still executing.
+  WriteSet big = MakeRefresh(101, 1, 0);
+  for (int64_t k = 1; k < 8; ++k) {
+    big.Add(table_, k, WriteType::kUpdate, Row{Value(k), Value(1000)});
+  }
+  proxy_->OnRefresh(AtShardVersions(big, {{0, 1}}));
+  proxy_->OnRefresh(AtShardVersions(MakeRefresh(102, 2, 8), {{0, 2}}));
+  // Shard 1 runs its own stream meanwhile.
+  proxy_->OnRefresh(
+      AtShardVersions(MakeRefresh(103, 1, 8, table2_), {{1, 1}}));
+  sim_.RunUntil(Millis(10));
+  // Shard 0's version 2 has executed but waits for version 1 to publish;
+  // shard 1 is not held back by shard 0.
+  EXPECT_EQ(proxy_->ShardPublished(0), 0);
+  EXPECT_EQ(proxy_->ShardPublished(1), 1);
+  EXPECT_EQ(proxy_->publish_backlog(), 1u);
+  sim_.RunAll();
+  EXPECT_EQ(proxy_->ShardPublished(0), 2);
+  EXPECT_EQ(proxy_->publish_backlog(), 0u);
+  EXPECT_EQ(proxy_->pending_writesets(), 0u);
+  // The makespan is the long writeset, not the sum of the stream's two.
+  EXPECT_EQ(sim_.Now(), Millis(21));
+  EXPECT_EQ(proxy_->refresh_applied_count(), 3);
+  EXPECT_GT(obs.auditor()->checks_performed(), 0);
+  EXPECT_TRUE(obs.auditor()->ok()) << obs.auditor()->Summary();
+}
+
+TEST_F(ProxyTest, CrossShardWritesetPublishesInBothStreamsAtOnce) {
+  Build(false, LaneConfig(2), /*shards=*/2);
+  obs::Observability obs(&rt_, AuditedConfig());
+  obs.ConfigureAuditor(true, true, {0, 1}, 2);
+  proxy_->SetObservability(&obs);
+  // Shard 0's version 1 is an 8-op refresh (21 ms).  The cross-shard
+  // writeset at (0:2, 1:1) writes t and u (2 ops, 6 ms) and shard 1's
+  // version 2 another u key (3.5 ms): both execute ahead of shard 0's
+  // version 1, and the cross-shard one — next in shard 1 — must still
+  // wait until it is next in shard 0 too.
+  WriteSet big = MakeRefresh(101, 1, 1);
+  for (int64_t k = 2; k < 9; ++k) {
+    big.Add(table_, k, WriteType::kUpdate, Row{Value(k), Value(1000)});
+  }
+  proxy_->OnRefresh(AtShardVersions(big, {{0, 1}}));
+  WriteSet cross = MakeRefresh(102, 2, 0);
+  cross.Add(table2_, 0, WriteType::kUpdate, Row{Value(0), Value(2000)});
+  proxy_->OnRefresh(AtShardVersions(cross, {{0, 2}, {1, 1}}));
+  proxy_->OnRefresh(
+      AtShardVersions(MakeRefresh(103, 2, 5, table2_), {{1, 2}}));
+  // Whenever a BEGIN could run, the cross-shard writeset is visible in
+  // both streams or in neither.
+  for (SimTime t = Micros(500); t < Millis(21); t += Micros(500)) {
+    sim_.RunUntil(t);
+    EXPECT_EQ(proxy_->ShardPublished(0), 0) << "at " << t;
+    EXPECT_EQ(proxy_->ShardPublished(1), 0) << "at " << t;
+  }
+  EXPECT_EQ(proxy_->publish_backlog(), 2u);
+  // A BEGIN tagged with shard 1's version 2 waits for it, and reads the
+  // cross-shard writeset in shard 0 too.
+  proxy_->OnTxnRequest(MakeRequest(1, "read", {{Value(0)}}), {{1, 2}});
+  sim_.RunAll();
+  ASSERT_EQ(responses_.size(), 1u);
+  EXPECT_EQ(responses_[0].shard_snapshots, (ShardVersions{{0, 2}, {1, 2}}));
+  EXPECT_EQ(proxy_->ShardPublished(0), 2);
+  EXPECT_EQ(proxy_->ShardPublished(1), 2);
+  EXPECT_EQ(proxy_->v_local(), 3);
+  EXPECT_TRUE(obs.auditor()->ok()) << obs.auditor()->Summary();
 }
 
 }  // namespace

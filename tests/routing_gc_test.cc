@@ -19,7 +19,7 @@ TEST(RoutingPolicyTest, RoundRobinCycles) {
                   RoutingPolicy::kRoundRobin);
   std::vector<ReplicaId> picks;
   lb.SetDispatchCallback(
-      [&picks](ReplicaId replica, const TxnRequest&, DbVersion) {
+      [&picks](ReplicaId replica, const TxnRequest&, const ShardVersions&) {
         picks.push_back(replica);
       });
   lb.SetClientResponseCallback([](const TxnResponse&) {});
@@ -38,7 +38,7 @@ TEST(RoutingPolicyTest, RoundRobinSkipsDownReplicas) {
                   RoutingPolicy::kRoundRobin);
   std::vector<ReplicaId> picks;
   lb.SetDispatchCallback(
-      [&picks](ReplicaId replica, const TxnRequest&, DbVersion) {
+      [&picks](ReplicaId replica, const TxnRequest&, const ShardVersions&) {
         picks.push_back(replica);
       });
   lb.SetClientResponseCallback([](const TxnResponse&) {});

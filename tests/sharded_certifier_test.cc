@@ -392,9 +392,10 @@ TEST(ShardedSystemTest, PartialReplicationAuditsCleanly) {
 }
 
 TEST(ShardedSystemTest, UnsupportedCombinationsAreRefused) {
-  // The proxies' and the load balancer's per-shard paths have no eager or
-  // bounded-staleness mode yet; the standby certifier and refresh
-  // batching run at K > 1 (see the end-to-end tests below).
+  // Eager and bounded staleness are refused at Create (replica crash and
+  // partition faults at the call); the standby certifier, refresh
+  // batching and load-balancer failover run at K > 1 (see the end-to-end
+  // tests below).
   Simulator sim;
   runtime::SimRuntime rt{&sim};
   auto create = [&rt](const SystemConfig& config) {
@@ -414,7 +415,10 @@ TEST(ShardedSystemTest, UnsupportedCombinationsAreRefused) {
   config.level = ConsistencyLevel::kLazyCoarse;
   config.standby_certifier = true;
   config.certifier.refresh_batching = true;
-  EXPECT_TRUE(create(config).ok());
+  auto system = create(config);
+  ASSERT_TRUE(system.ok());
+  (*system)->CrashLoadBalancer();
+  EXPECT_EQ((*system)->load_balancer_failovers(), 1);
 }
 
 // A workload over `tables` tables t0, t1, ... whose update mix includes
@@ -746,6 +750,44 @@ TEST(ShardedSystemTest, StandbyTakesOverFourLanesMidRun) {
     EXPECT_GT(certifier->sequenced_count(), 0);
     EXPECT_GT(run.acknowledged_updates, 0);
   }
+}
+
+TEST(ShardedSystemTest, LoadBalancerFailsOverWithFourLanesAndPartialReplication) {
+  // The standby balancer is promoted mid-run with a conservative floor
+  // per lane (each lane's commit version at the crash), and keeps routing
+  // by shard-set to the replicas that host a transaction's shards.
+  SystemConfig config = FourLanes(4);
+  config.hosted_shards = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};
+  ShardVersions floors;
+  RunOutcome run = RunAudited(
+      MultiTableWorkload(4), config, [&](ReplicatedSystem* system) {
+        system->CrashLoadBalancer();
+        for (ShardId s = 0; s < 4; ++s) {
+          floors.emplace_back(s, system->certifier()->CommitVersion(s));
+        }
+      });
+  EXPECT_EQ(run.system->load_balancer_failovers(), 1);
+  const LoadBalancer* lb = run.system->load_balancer();
+  EXPECT_TRUE(lb->promoted());
+  for (const auto& [s, floor] : floors) {
+    EXPECT_GT(floor, 0) << "lane " << s;
+    EXPECT_EQ(lb->policy().conservative_floor(s), floor) << "lane " << s;
+    EXPECT_GT(run.system->certifier()->CommitVersion(s), floor)
+        << "lane " << s << " must keep committing after the failover";
+  }
+  EXPECT_GT(run.acknowledged_updates, 0);
+}
+
+TEST(ShardedSystemTest, TwoApplyLanesPerStreamAuditCleanly) {
+  // Two lanes per stream at K = 2: writesets execute out of order within
+  // a stream, publish in per-stream order, and cross-shard ones publish
+  // in both streams at once.
+  SystemConfig config = FourLanes(3);
+  config.certifier.shard_lanes = 2;
+  config.proxy.apply_lanes = 2;
+  RunOutcome run = RunAudited(MultiTableWorkload(2), config, nullptr);
+  EXPECT_GT(run.system->certifier()->sequenced_count(), 0);
+  EXPECT_GT(run.acknowledged_updates, 0);
 }
 
 TEST(ShardedSystemTest, CrossLaneCommitSurvivesFailoverAtAnyInstant) {

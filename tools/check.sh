@@ -15,7 +15,7 @@ fi
 
 echo "== normal build =="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j)
 
 echo "== runtime-seam lint =="
@@ -175,7 +175,7 @@ python3 tools/bench_gate.py --realtime build/BENCH_realtime.json
 if [[ "$SANITIZE" == "1" ]]; then
   echo "== sanitized build (address,undefined) =="
   cmake -B build-asan -S . -DSCREP_SANITIZE=address,undefined >/dev/null
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   (cd build-asan && ctest --output-on-failure -j)
 
   echo "== network-fault stage (address,undefined) =="
@@ -197,7 +197,7 @@ if [[ "$SANITIZE" == "1" ]]; then
 
   echo "== sanitized build (thread) =="
   cmake -B build-tsan -S . -DSCREP_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   (cd build-tsan && ctest --output-on-failure -j)
 
   echo "== network-fault stage (thread) =="
